@@ -26,7 +26,7 @@ unique -> memo -> vectorised-kernel pipeline.
 
 A **memo-share** point measures the cross-worker dedupe win: the same
 shard plan decoded by a pool of per-process memos with and without
-protocol-v3 memo sharding (deterministic in-process simulation built
+cross-worker memo sharding (deterministic in-process simulation built
 on the real :class:`SyndromeMemo` share primitives, plus — in the full
 run — a real two-process :class:`MultiprocessBackend` sweep).  Failure
 counts must be identical across all variants; the shared pool's global
@@ -278,7 +278,7 @@ def _bench_mwpm_batched(distance: int, improvement: float,
 def _bench_memo_share(distance: int, improvement: float, shard_shots: int,
                       num_shards: int, workers: int) -> dict:
     """Cross-worker dedupe point: the same shard plan round-robined over
-    a pool of per-process memos, with and without protocol-v3 memo
+    a pool of per-process memos, with and without cross-worker memo
     sharding.
 
     The pool is simulated in-process (deterministically — no scheduler
@@ -528,7 +528,7 @@ def test_sampling_decoding_fastpath():
     assert mwpm_batched["speedup"] > 1.0, mwpm_batched
     # Cross-worker dedupe gate: sharding must lift the pool's global
     # hit rate above the diluted per-process-memo rate (the whole point
-    # of protocol-v3 memo sharding), with identical failure counts
+    # of cross-worker memo sharding), with identical failure counts
     # (asserted inside the bench).
     assert (memo_share["shared"]["hit_rate"]
             > memo_share["unshared"]["hit_rate"]), memo_share

@@ -141,9 +141,9 @@ class SyndromeMemo:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple[int, int, int, int]:
-        """``(hits, misses, entries, shared_hits)`` — diffable around a
-        shard so the engine can attribute memo traffic to individual
-        shards."""
+        """``(hits, misses, entries, shared_hits)`` running totals
+        (per-call traffic comes from :func:`decode_packed_dedup`'s
+        ``stats``)."""
         return (self.hits, self.misses, len(self.table), self.shared_hits)
 
     def stats(self) -> dict:
@@ -180,6 +180,7 @@ def decode_packed_dedup(
     decode_unique_words,
     det_words: np.ndarray,
     memo: SyndromeMemo | None = None,
+    stats: list[int] | None = None,
 ) -> np.ndarray:
     """Decode a packed ``(shots, words)`` uint64 batch via deduplication.
 
@@ -188,6 +189,11 @@ def decode_packed_dedup(
     covers every syndrome the ``memo`` has not already seen, so each
     distinct syndrome is decoded at most once per batch and, with a
     memo, at most once per decoder lifetime.
+
+    With a memo, ``stats`` (a ``[hits, misses, shared_hits]`` list)
+    accumulates this call's own memo traffic.  Unlike the memo's
+    running counters it stays exact when several threads decode
+    through one shared memo.
     """
     words = np.atleast_2d(np.ascontiguousarray(det_words, dtype=np.uint64))
     with span("unique"):
@@ -198,19 +204,26 @@ def decode_packed_dedup(
             missing = list(range(len(uniq)))
         else:
             missing = []
+            shared = 0
             table = memo.table
             remote = memo.remote_keys
             for row in range(len(uniq)):
                 key = uniq[row].tobytes()
                 cached = table.get(key)
                 if cached is not None:
-                    memo.hits += 1
                     if remote and key in remote:
-                        memo.shared_hits += 1
+                        shared += 1
                     corrections[row] = cached
                 else:
-                    memo.misses += 1
                     missing.append(row)
+            hits, misses = len(uniq) - len(missing), len(missing)
+            memo.hits += hits
+            memo.misses += misses
+            memo.shared_hits += shared
+            if stats is not None:
+                stats[0] += hits
+                stats[1] += misses
+                stats[2] += shared
     if missing:
         miss_rows = np.array(missing, dtype=np.int64)
         with span("decode", distinct=len(missing)):
@@ -297,16 +310,23 @@ class BatchDecoderMixin:
         return scalar_unique_adapter(self.decode, self.num_detectors)(det_words)
 
     def decode_packed_batch(
-        self, det_words: np.ndarray, *, dedupe: bool = True
+        self,
+        det_words: np.ndarray,
+        *,
+        dedupe: bool = True,
+        memo_stats: list[int] | None = None,
     ) -> np.ndarray:
         """Observable bitmask per shot for packed ``(shots, words)``
-        syndromes — the pipeline's native decoder entry point."""
+        syndromes — the pipeline's native decoder entry point.
+        ``memo_stats`` collects this call's memo traffic (see
+        :func:`decode_packed_dedup`)."""
         words = np.atleast_2d(np.ascontiguousarray(det_words, dtype=np.uint64))
         if not dedupe:
             rows = unpack_bool_rows(words, self.num_detectors)
             return np.array([self.decode(row) for row in rows], dtype=np.int64)
         return decode_packed_dedup(
-            self.decode_unique_words, words, memo=self.syndrome_memo()
+            self.decode_unique_words, words, memo=self.syndrome_memo(),
+            stats=memo_stats,
         )
 
     def decode_batch(
@@ -327,6 +347,7 @@ class BatchDecoderMixin:
         obs_words: np.ndarray,
         *,
         dedupe: bool = True,
+        memo_stats: list[int] | None = None,
     ) -> np.ndarray:
         """Per-shot bool: did decoding fail to fix observable 0?
 
@@ -334,7 +355,9 @@ class BatchDecoderMixin:
         read from bit 0 of the first obs word, so no boolean matrix is
         ever materialised on the engine's hot path.
         """
-        corrections = self.decode_packed_batch(det_words, dedupe=dedupe)
+        corrections = self.decode_packed_batch(
+            det_words, dedupe=dedupe, memo_stats=memo_stats
+        )
         obs = np.atleast_2d(np.ascontiguousarray(obs_words, dtype=np.uint64))
         if obs.shape[1]:
             actual = (obs[:, 0] & np.uint64(1)).astype(np.int64)

@@ -11,12 +11,12 @@ The uniform harness behind the paper's figure sweeps:
   matrices), so each unique circuit is compiled exactly once per sweep;
   the disk layer is LRU-size-bounded via ``max_disk_mb`` (``cache.py``);
 - :class:`Runner` / :func:`run_sweep` with pluggable backends —
-  :class:`SerialBackend`, a :class:`MultiprocessBackend` that shards
-  shots over workers with independent ``SeedSequence`` streams and
-  merges failure counts bit-identically, and a socket
-  :class:`RemoteBackend` speaking the same worker protocol to
+  :class:`SerialBackend`, and one worker-pool transport: a socket
+  :class:`RemoteBackend` that streams shards (independent
+  ``SeedSequence`` streams, failure counts merged bit-identically) to
   ``repro-worker`` processes on other machines, with worker crash
-  recovery (``runner.py``, ``remote.py``);
+  recovery, and :class:`MultiprocessBackend`, the same backend over
+  forked local workers (``runner.py``, ``remote.py``);
 - :class:`ResultStore` / :class:`JobResult` / :class:`ShardRecord` —
   JSON-lines persistence with resume at job *and* shard granularity:
   completed job keys are skipped, and an interrupted job resumes from
@@ -42,7 +42,6 @@ from .progress import ProgressReporter
 from .results import JobResult, ResultStore, ShardRecord
 from .runner import (
     DEFAULT_SHARD_SHOTS,
-    MultiprocessBackend,
     NoLiveWorkersError,
     Runner,
     SerialBackend,
@@ -63,10 +62,10 @@ def __getattr__(name):
     # point) doesn't find the module pre-imported by its own package —
     # runpy warns about that — and plain engine users don't pay the
     # socket machinery import.
-    if name == "RemoteBackend":
-        from .remote import RemoteBackend
+    if name in ("RemoteBackend", "MultiprocessBackend"):
+        from . import remote
 
-        return RemoteBackend
+        return getattr(remote, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

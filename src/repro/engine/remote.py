@@ -1,13 +1,14 @@
-"""Socket-based distributed execution backend.
+"""Socket-based worker pools: the engine's one worker transport.
 
 ``RemoteBackend`` speaks the engine's streaming backend protocol
 (``capacity`` / ``submit`` / ``poll`` / ``wait`` / ``take_lost``) over
-TCP connections to ``repro-worker`` processes — the same worker
-messages as the multiprocessing backend (prime once per (worker,
-circuit), tiny shard tuples), serialised as length-prefixed pickle
-frames.  The worker side runs the very same
-:class:`~repro.engine.runner.ShardExecutor` as a multiprocessing
-worker; only the transport differs.
+TCP connections to ``repro-worker`` processes: prime once per (worker,
+circuit), then tiny shard tuples, serialised as length-prefixed pickle
+frames.  Driver and worker ship in one package, so there is exactly
+one protocol version; a worker whose hello names another version is
+refused with a :class:`ConnectionError`.  ``MultiprocessBackend`` is
+the same backend over forked local worker processes, each running the
+worker session loop over one end of a ``socketpair``.
 
 Launch workers anywhere the driver can reach::
 
@@ -28,18 +29,21 @@ to a crash-free run.  When *no* worker survives, the backend raises
 
 Trust model: frames are **pickle** — the worker executes what the
 driver sends and trusts it completely (and vice versa).  Run workers
-only on hosts/networks you control, exactly like a multiprocessing
-pool stretched across machines.
+only on hosts/networks you control, exactly like a local process pool
+stretched across machines.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
+import multiprocessing
 import os
 import pickle
 import queue as queue_module
 import selectors
+import signal
 import socket
 import struct
 import sys
@@ -60,21 +64,11 @@ from .runner import (
 
 logger = logging.getLogger(__name__)
 
-# Version 2 adds the driver->worker ("config", settings) message and
-# the optional 7th (phases) element on "ok" replies.  Version 3 adds
-# cross-worker syndrome-memo sharding: the ``memo_share`` /
-# ``native_blossom`` config keys, the driver->worker ("memo", circuit,
-# decoder, entries, epoch) replication message, and the optional 8th
-# (published memo entries) element on "ok" replies.  Version 4 adds
-# multi-slot workers and work stealing: the hello grows a capability
-# dict (``("hello", 4, {"slots": N})``), shard tuples may extend to 10
-# elements with a stolen window's ``(offset, parent_shots)``, and a
-# multi-slot worker's "ok" replies are padded to 8 elements and append
-# the executing slot as a 9th so each slot gets its own telemetry
-# lane.  Drivers gate each feature on the version a worker said hello
-# with, so mixed deployments keep working: an old worker simply never
-# reports phases, joins the shared memo, or receives a stolen window.
-PROTOCOL_VERSION = 4
+# The wire protocol (message shapes: ``WorkerPoolBackend`` and
+# ``handle_worker_message``).  The worker's hello is
+# ``("hello", PROTOCOL_VERSION, {"slots": N})``; the driver refuses any
+# other version.
+PROTOCOL_VERSION = 5
 _HEADER = struct.Struct(">I")
 # A frame is bounded by the largest prime payload (two DEM JSONs plus
 # the all-pairs distance matrices) — far below this, but cap it so a
@@ -139,6 +133,11 @@ def _recv_frame(sock: socket.socket):
     return pickle.loads(payload)
 
 
+# What ends one driver session on the worker side: a broken socket, a
+# truncated or undecodable frame, or a message of the wrong arity.
+_SESSION_ERRORS = (OSError, pickle.UnpicklingError, EOFError, ValueError)
+
+
 def _serve_connection(conn: socket.socket, slots: int = 1,
                       chaos_shard_delay: float = 0.0) -> None:
     """One driver session: hello, then prime/dmat/shard until stop/EOF.
@@ -183,10 +182,8 @@ def _serve_multislot(conn: socket.socket, executor: ShardExecutor,
 
     Exactly ``slots`` pool threads each claim a slot id from a free
     queue for the duration of one shard, so the slot in a reply names
-    which concurrency lane ran it.  Replies are serialised by a send
-    lock; ``ok`` replies are padded to 8 elements (phases, published)
-    and the slot appended as a 9th — an unambiguous protocol >= 4
-    shape the driver turns into per-slot telemetry lanes.
+    which concurrency lane ran it (the driver turns it into per-slot
+    telemetry lanes).  Replies are serialised by a send lock.
     """
     send_lock = threading.Lock()
     free_slots: queue_module.Queue = queue_module.Queue()
@@ -204,12 +201,18 @@ def _serve_multislot(conn: socket.socket, executor: ShardExecutor,
             if chaos_shard_delay:
                 time.sleep(chaos_shard_delay)
             reply = handle_worker_message(executor, message, slot=slot)
+        except ValueError:
+            # A malformed shard message: drop the session, as the
+            # single-slot loop does (the recv loop then reads EOF).
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            return
         finally:
             free_slots.put(slot)
         if reply is None:
             return
-        if reply[0] == "ok":
-            reply = reply + (None,) * (8 - len(reply)) + (slot,)
         try:
             send(reply)
         except OSError:
@@ -263,8 +266,9 @@ def serve(listen: str = "127.0.0.1:0", *, serve_forever: bool = False,
                         conn, slots=slots,
                         chaos_shard_delay=chaos_shard_delay,
                     )
-            except (OSError, pickle.UnpicklingError, EOFError):
-                pass  # driver vanished mid-frame: drop the session
+            except _SESSION_ERRORS:
+                pass  # driver vanished mid-frame or sent a malformed
+                # message: drop the session, not the worker
             if not serve_forever:
                 return
 
@@ -320,7 +324,7 @@ class _Connection:
     """Driver-side state of one worker link."""
 
     __slots__ = (
-        "addr", "sock", "buffer", "alive", "protocol", "slots",
+        "addr", "sock", "buffer", "alive", "slots",
         "outbox", "outbox_since", "interest",
     )
 
@@ -329,8 +333,7 @@ class _Connection:
         self.sock = sock
         self.buffer = bytearray()
         self.alive = True
-        self.protocol = 1  # updated from the worker's hello
-        self.slots = 1  # concurrent shard lanes (protocol >= 4 hello)
+        self.slots = 1  # concurrent shard lanes, from the worker's hello
         # Frames queued behind a full socket buffer, flushed by the
         # event loop as the socket turns writable; ``outbox_since``
         # timestamps the last flush progress so a wedged worker
@@ -406,12 +409,7 @@ class RemoteBackend(WorkerPoolBackend):
     def _worker_label(self, worker: int) -> str:
         if worker < len(self._conns):
             return self._conns[worker].label
-        return f"remote:{worker}"
-
-    def _worker_protocol(self, worker: int) -> int:
-        if worker < len(self._conns):
-            return self._conns[worker].protocol
-        return 1
+        return super()._worker_label(worker)
 
     def _transport_stats(self) -> dict:
         return {
@@ -445,21 +443,46 @@ class RemoteBackend(WorkerPoolBackend):
                 f"cannot reach repro-worker at {addr[0]}:{addr[1]}: {exc}"
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Connection(addr, sock)
-        hello = self._blocking_frame(conn)
-        if not (isinstance(hello, tuple) and hello[:1] == ("hello",)):
-            sock.close()
+        return self._handshake(_Connection(addr, sock))
+
+    def _handshake(self, conn: _Connection) -> _Connection:
+        """Read and check a worker's hello, then switch the socket to
+        the event loop's non-blocking mode.  Anything but a well-formed
+        hello of this driver's protocol version closes the socket and
+        raises :class:`ConnectionError`."""
+        try:
+            hello = self._blocking_frame(conn)
+        except (OSError, pickle.UnpicklingError, EOFError) as exc:
+            conn.sock.close()
             raise ConnectionError(
-                f"worker at {addr[0]}:{addr[1]} did not say hello "
+                f"no hello from worker at {conn.label}: {exc}"
+            ) from exc
+        if not (isinstance(hello, tuple) and hello[:1] == ("hello",)):
+            conn.sock.close()
+            raise ConnectionError(
+                f"worker at {conn.label} did not say hello "
                 f"(got {hello!r}) — is it a repro-worker?"
             )
-        if len(hello) > 1:
-            conn.protocol = int(hello[1])
-        if len(hello) > 2 and isinstance(hello[2], dict):
-            # Protocol >= 4 capability dict; today just the slot count.
-            conn.slots = max(1, int(hello[2].get("slots", 1)))
-        sock.settimeout(None)
-        sock.setblocking(False)
+        version = hello[1] if hello[1:] else None
+        if version != PROTOCOL_VERSION:
+            conn.sock.close()
+            raise ConnectionError(
+                f"repro-worker at {conn.label} speaks protocol {version}, "
+                f"this driver speaks protocol {PROTOCOL_VERSION}; run the "
+                "same repro version on both ends"
+            )
+        capabilities = hello[2] if len(hello) == 3 else None
+        slots = (capabilities.get("slots")
+                 if isinstance(capabilities, dict) else None)
+        if type(slots) is not int or slots < 1:
+            conn.sock.close()
+            raise ConnectionError(
+                f"repro-worker at {conn.label} sent a malformed hello "
+                f"{hello!r}"
+            )
+        conn.slots = slots
+        conn.sock.settimeout(None)
+        conn.sock.setblocking(False)
         return conn
 
     def _adopt(self, conn: _Connection) -> int:
@@ -618,11 +641,11 @@ class RemoteBackend(WorkerPoolBackend):
             conn.sock.close()
         except OSError:
             pass
-        # _forget_worker logs the lost shard ids; this names the remote
+        # _forget_worker logs the lost shard ids; this names the
         # endpoint and what's left of the pool.
         logger.warning(
-            "remote worker %s disconnected; %d worker(s) remain",
-            conn.label, sum(1 for c in self._conns if c.alive),
+            "%s worker %s disconnected; %d worker(s) remain",
+            self.name, conn.label, sum(1 for c in self._conns if c.alive),
         )
         self._forget_worker(worker)
 
@@ -713,7 +736,7 @@ class RemoteBackend(WorkerPoolBackend):
             return outcomes
         if not self._live_workers():
             raise NoLiveWorkersError(
-                f"all {len(self._conns)} remote worker(s) disconnected "
+                f"all {len(self._conns)} {self.name} worker(s) disconnected "
                 f"with {len(self._dispatch)} shard(s) in flight"
             )
         return []
@@ -762,6 +785,99 @@ class RemoteBackend(WorkerPoolBackend):
             self.close()
         else:
             self.terminate()
+
+
+class MultiprocessBackend(RemoteBackend):
+    """Fans shot shards out over forked local worker processes.
+
+    Each worker process runs the ``repro-worker`` session loop over one
+    end of a ``socketpair``; the driver adopts the other ends into
+    :class:`RemoteBackend`'s event loop.  Priming, crash recovery, work
+    stealing and memo sharing therefore run on exactly the code paths
+    of a remote pool: a worker killed by OOM, SIGKILL or a segfault
+    closes its socket, and its in-flight shards are resubmitted to the
+    survivors.  Workers ignore SIGINT — Ctrl-C reaches the driver, which
+    then terminates them.
+    """
+
+    name = "multiprocess"
+
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        queue_depth: int = 2,
+        memo_share: bool = True,
+    ):
+        self.max_workers = max_workers or os.cpu_count() or 2
+        # The roster's (host, port) pairs double as the "mp:N" labels.
+        # A local worker cannot be partitioned away, only die (EOF), so
+        # a long shard holding back a queued prime is never a stall.
+        super().__init__(
+            [("mp", worker) for worker in range(self.max_workers)],
+            queue_depth=queue_depth, memo_share=memo_share,
+            send_timeout=math.inf,
+        )
+        self._procs: list = []
+
+    def _ensure_workers(self) -> None:
+        if self._conns:
+            return
+        self._selector = selectors.DefaultSelector()
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        try:
+            for addr in self.addrs:
+                ours, theirs = socket.socketpair()
+                proc = ctx.Process(
+                    target=_serve_local,
+                    args=(theirs, [c.sock for c in self._conns] + [ours]),
+                    daemon=True,
+                )
+                proc.start()
+                # Only the child may hold its end: a copy left here
+                # would keep a SIGKILLed worker's socket from ever
+                # reading as EOF.
+                theirs.close()
+                self._procs.append(proc)
+                self._adopt(self._handshake(_Connection(addr, ours)))
+        except BaseException:
+            self.terminate()
+            raise
+
+    def close(self) -> None:
+        """Graceful shutdown: stop every worker, then reap them."""
+        super().close()
+        self._reap(timeout=10)
+
+    def terminate(self) -> None:
+        """Hard shutdown: kill the workers (interrupt path)."""
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+        super().terminate()
+        self._reap(timeout=None)
+
+    def _reap(self, timeout: float | None) -> None:
+        for proc in self._procs:
+            proc.join(timeout)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        self._procs = []
+
+
+def _serve_local(sock: socket.socket, inherited: list) -> None:
+    """Worker-process body of :class:`MultiprocessBackend`."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()  # the driver's ends, copied in by fork
+    with sock:
+        try:
+            _serve_connection(sock)
+        except _SESSION_ERRORS:
+            pass  # driver vanished mid-frame
 
 
 if __name__ == "__main__":

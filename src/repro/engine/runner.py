@@ -7,27 +7,27 @@ Monte-Carlo sampling through the cross-job shard scheduler
 (:mod:`repro.engine.scheduler`) over a pluggable backend:
 
 - :class:`SerialBackend` runs every shot shard in-process;
-- :class:`MultiprocessBackend` fans shards out over worker processes
-  with per-worker task queues, priming each worker at most once per
+- :class:`repro.engine.remote.RemoteBackend` fans shards out over TCP
+  to ``repro-worker`` processes, priming each worker at most once per
   unique circuit (circuit text, both DEM payloads, MWPM distance
   matrices) — shard messages carry only ``(circuit key, decoder,
   sampler, shots, seed)``, never the circuit text or a DEM payload;
-- :class:`repro.engine.remote.RemoteBackend` speaks the same worker
-  protocol over TCP sockets to ``repro-worker`` processes on other
-  machines.
+- :class:`repro.engine.remote.MultiprocessBackend` is the same backend
+  over forked local worker processes, each speaking the socket
+  protocol over one end of a ``socketpair``.
 
-The pool backends share :class:`WorkerPoolBackend` (submit-side
+Both pool backends share :class:`WorkerPoolBackend` (submit-side
 priming / dispatch / crash-recovery bookkeeping) and their workers
-share :class:`ShardExecutor` (worker-side circuit / decoder / sampler
-state), so the transports differ only in how bytes move.  A dead
-worker no longer kills the sweep: its in-flight shards are disowned
-into a lost list the scheduler reaps (``take_lost``) and resubmits to
-survivors with their original seeds.
+share :class:`ShardExecutor` and :func:`handle_worker_message`
+(worker-side circuit / decoder / sampler state and the one wire
+protocol).  A dead worker does not kill the sweep: its in-flight
+shards are disowned into a lost list the scheduler reaps
+(``take_lost``) and resubmits to survivors.
 
-Both consume the *same* shard plan: a job's shots are split into
-fixed-size shards, and shard ``i`` samples from an independent RNG
-stream spawned via ``np.random.SeedSequence`` from the sweep's master
-seed and the job key.  Fixed-shot failure totals are therefore
+Every backend consumes the *same* shard plan: a job's shots are split
+into fixed-size shards, and shard ``i`` samples from an independent
+RNG stream spawned via ``np.random.SeedSequence`` from the sweep's
+master seed and the job key.  Fixed-shot failure totals are therefore
 bit-identical across backends and across worker counts — parallelism
 changes only where a shard runs, never what it samples.  Adaptive jobs
 (``target_failures`` set) trade that equivalence for early stopping:
@@ -40,10 +40,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import multiprocessing
-import os
-import queue as queue_module
-import signal
 import threading
 import time
 import traceback
@@ -161,9 +157,12 @@ def sample_shard(
 
     Returns ``(failures, (memo_hits, memo_misses, memo_size,
     memo_shared_hits), phases)`` — the shard's own syndrome-memo
-    traffic (``memo_shared_hits`` counts the hits served by entries
-    another worker decoded and the driver replicated in) and, when
-    telemetry is enabled, its per-phase exclusive seconds (sample /
+    traffic, counted by this shard's decode call alone (so it stays
+    exact when several worker slots share one memo), where
+    ``memo_shared_hits`` counts the hits served by entries another
+    worker decoded and the driver replicated in, and ``memo_size`` is
+    the memo's entry count afterwards.  When telemetry is enabled,
+    ``phases`` holds the shard's per-phase exclusive seconds (sample /
     unique / memo / decode / scatter, plus ``other`` for the residue
     between the instrumented phases and the shard's wall clock).
     ``phases`` is ``None`` with telemetry off — the hot path stays
@@ -199,21 +198,20 @@ def sample_shard(
                     packed.det_words[lo:hi], packed.obs_words[lo:hi],
                     packed.num_detectors, packed.num_observables,
                 )
-        memo = decoder.syndrome_memo()
-        hits0, misses0, _, shared0 = memo.snapshot()
+        traffic = [0, 0, 0]  # hits, misses, shared hits
         failures = int(
             decoder.logical_failures_packed(
-                packed.det_words, packed.obs_words
+                packed.det_words, packed.obs_words, memo_stats=traffic
             ).sum()
         )
-        hits1, misses1, size, shared1 = memo.snapshot()
-    memo_stats = (hits1 - hits0, misses1 - misses0, size, shared1 - shared0)
+    hits, misses, shared = traffic
+    memo_stats = (hits, misses, len(decoder.syndrome_memo()), shared)
     if not enabled:
         return failures, memo_stats, None
     phases = telemetry.phase_delta(phases0)
     # The "shard" span's exclusive time is whatever the instrumented
-    # phases did not cover (packing, memo snapshots, glue): surface it
-    # as "other" so per-shard phases still sum to shard wall clock.
+    # phases did not cover (packing, glue): surface it as "other" so
+    # per-shard phases still sum to shard wall clock.
     residue = phases.pop("shard", 0.0)
     if residue > 0.0:
         phases["other"] = phases.get("other", 0.0) + residue
@@ -253,11 +251,6 @@ class SerialBackend:
 
     def __init__(self):
         self._outcomes: list[ShardOutcome] = []
-
-    def supports_windows(self) -> bool:
-        """Windowed (stolen) sub-shards run fine in-process — though
-        with capacity 1 the scheduler never actually steals here."""
-        return True
 
     def submit(
         self, task: ShardTask, compiled: CompiledCircuit, cache: CompilationCache
@@ -322,10 +315,11 @@ class ShardExecutor:
     """Worker-side shard execution state.
 
     Holds the circuits this worker was primed with and the decoders /
-    samplers built from them (lazily, at most once per circuit).
-    Shared by the multiprocessing worker loop and the socket worker
-    (``repro-worker``): both feed it the same prime / dmat / shard
-    messages and differ only in transport.
+    samplers built from them (lazily, at most once per circuit).  Every
+    pool worker — a ``repro-worker`` on another host or a forked local
+    process of :class:`~repro.engine.remote.MultiprocessBackend` —
+    feeds it prime / dmat / shard messages through
+    :func:`handle_worker_message`.
 
     A multi-slot worker runs ``run()`` concurrently from ``slots``
     threads.  Decoders are keyed per slot — MWPM/union-find instances
@@ -470,25 +464,25 @@ class ShardExecutor:
         )
 
 
-def handle_worker_message(executor: ShardExecutor, message: tuple, slot: int = 0):
+def handle_worker_message(
+    executor: ShardExecutor, message: tuple, slot: int | None = None
+):
     """Process one driver message; returns the reply tuple or ``None``.
 
-    The request/reply state machine shared by both worker transports:
-    ``prime`` / ``dmat`` / ``memo`` update the executor (priming errors
-    are reported with ``seq=None``), ``config`` applies worker-side
-    settings (telemetry, memo sharding, the native matcher opt-in),
-    ``shard`` samples and replies; ``stop`` is the caller's business.
-    A shard that ran with telemetry enabled replies with a 7th element
-    — its per-phase seconds dict — and a shard that produced owned
-    syndrome-memo entries under cross-worker sharing (protocol >= 3)
-    appends them as an 8th; drivers on the old 6-tuple protocol never
-    enable either, so they never see the longer shapes.
+    The worker's half of the wire protocol: ``prime`` / ``dmat`` /
+    ``memo`` update the executor, ``config`` applies this driver's
+    worker-side settings (telemetry, memo sharding, the native matcher
+    opt-in), ``shard`` samples and replies; ``stop`` is the caller's
+    business.  Every reply has one shape::
 
-    Protocol >= 4 drivers may extend the 8-element shard tuple with
-    ``(offset, parent_shots)`` — a stolen *window* of a planned shard;
-    older tuples run unwindowed.  ``slot`` is which of a multi-slot
-    worker's lanes is executing this call (the transport appends it to
-    the reply itself; see ``remote._serve_connection``).
+        (kind, seq, value, elapsed_s, epoch, memo, phases, published, slot)
+
+    ``kind`` is ``"ok"`` (``value`` = failures, ``memo`` = the shard's
+    memo-stats 4-tuple) or ``"error"`` (``value`` = traceback; a failed
+    prime replies with ``seq=None``).  ``phases`` is the per-phase
+    seconds dict when telemetry is on, ``published`` the owned memo
+    entries decoded under cross-worker sharing, and ``slot`` which lane
+    of a multi-slot worker ran the shard — each ``None`` when absent.
     """
     kind = message[0]
     if kind == "prime":
@@ -496,7 +490,8 @@ def handle_worker_message(executor: ShardExecutor, message: tuple, slot: int = 0
         try:
             executor.prime(circuit_key, circuit_text, dem_data, sdem_data, dmat)
         except BaseException:
-            return ("error", None, traceback.format_exc(), 0.0, epoch, None)
+            return ("error", None, traceback.format_exc(), 0.0, epoch,
+                    None, None, None, slot)
         return None
     if kind == "dmat":
         _, circuit_key, dmat, epoch = message
@@ -508,62 +503,39 @@ def handle_worker_message(executor: ShardExecutor, message: tuple, slot: int = 0
         executor.absorb_memo(circuit_key, decoder_name, entries)
         return None
     if kind == "config":
-        # Driver-controlled worker settings.  Settings are per-driver
-        # state: a serve-forever worker gets a fresh ``config`` (or
-        # none — all off) per session.
+        # Driver-controlled worker settings, sent once per session.
         _, settings = message
         configure_telemetry(enabled=bool(settings.get("telemetry", False)))
         executor.set_memo_share(settings.get("memo_share"))
         native.configure(bool(settings.get("native_blossom", False)))
         return None
-    (_, seq, circuit_key, decoder_name, sampler_name, shots, seed,
-     epoch) = message[:8]
-    offset = message[8] if len(message) > 8 else 0
-    parent_shots = message[9] if len(message) > 9 else None
+    (_, seq, circuit_key, decoder_name, sampler_name, shots, seed, epoch,
+     offset, parent_shots) = message
     try:
         t0 = time.perf_counter()
         failures, memo, phases = executor.run(
             circuit_key, decoder_name, sampler_name, shots, seed,
-            offset=offset, parent_shots=parent_shots, slot=slot,
+            offset=offset, parent_shots=parent_shots, slot=slot or 0,
         )
         elapsed = time.perf_counter() - t0
-        published = executor.drain_memo(circuit_key, decoder_name)
-        if published:
-            return ("ok", seq, failures, elapsed, epoch, memo, phases, published)
-        if phases is not None:
-            return ("ok", seq, failures, elapsed, epoch, memo, phases)
-        return ("ok", seq, failures, elapsed, epoch, memo)
+        published = executor.drain_memo(circuit_key, decoder_name) or None
+        return ("ok", seq, failures, elapsed, epoch, memo, phases, published,
+                slot)
     except BaseException:
-        return ("error", seq, traceback.format_exc(), 0.0, epoch, None)
-
-
-def _worker_main(task_queue, result_queue) -> None:
-    """Worker-process loop: prime once per circuit, then sample shards.
-
-    Ctrl-C is the parent's business: a SIGINT delivered to the whole
-    foreground group must not kill workers mid-task — the parent
-    decides when to terminate them.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    executor = ShardExecutor()
-    while True:
-        message = task_queue.get()
-        if message[0] == "stop":
-            break
-        reply = handle_worker_message(executor, message)
-        if reply is not None:
-            result_queue.put(reply)
+        return ("error", seq, traceback.format_exc(), 0.0, epoch,
+                None, None, None, slot)
 
 
 class WorkerPoolBackend:
     """Submit-side machinery shared by the worker-pool backends.
 
-    The multiprocessing and socket (remote) backends dispatch identical
-    messages — ``prime`` (at most once per (worker, circuit): circuit
-    text, both DEM payloads, MWPM distance matrices), late ``dmat``
-    delivery, tiny payload-free ``shard`` tuples, ``stop`` — and
-    receive identical ``("ok"/"error", seq, value, elapsed, epoch,
-    memo)`` replies.  This base owns the bookkeeping: priming state,
+    The driver's half of the wire protocol: one ``config`` per worker,
+    ``prime`` (at most once per (worker, circuit): circuit text, both
+    DEM payloads, MWPM distance matrices), late ``dmat`` delivery,
+    replicated ``memo`` entries, tiny payload-free ``shard`` tuples,
+    ``stop`` — answered by the fixed-shape replies documented on
+    :func:`handle_worker_message`.  This base owns the bookkeeping:
+    priming state,
     per-worker load, the seq -> worker dispatch map, abandoned-sweep
     epochs, and **crash recovery** — a dead worker's in-flight shards
     are disowned into a lost list that the scheduler reaps via
@@ -578,11 +550,10 @@ class WorkerPoolBackend:
 
     name = "pool"
     queue_depth: int = 2
-    # Cross-worker syndrome-memo dedupe (protocol >= 3): workers shard
-    # memo ownership by syndrome hash, publish owned entries with their
-    # shard replies, and the driver replicates each worker's new entries
-    # to the others piggybacked on shard dispatch.  Default on; pools
-    # whose workers speak protocol < 3 silently never engage it.
+    # Cross-worker syndrome-memo dedupe: workers shard memo ownership
+    # by syndrome hash, publish owned entries with their shard replies,
+    # and the driver replicates each worker's new entries to the others
+    # piggybacked on shard dispatch.  Default on.
     memo_share: bool = True
 
     def _init_pool(self) -> None:
@@ -620,11 +591,6 @@ class WorkerPoolBackend:
         # Shards disowned because their worker died, awaiting a
         # take_lost() reap by the scheduler.
         self._lost: list[int] = []
-        # Every seq disowned this epoch: a late result for one (queued
-        # by a worker just before it died, possibly racing its own
-        # resubmission) is dropped, or — if the resubmitted copy is in
-        # flight — counted once in its place.
-        self._forgotten: set[int] = set()
         # Bumped by abandon_pending(): results echo the epoch they were
         # submitted under, so shards of an aborted sweep can never be
         # attributed to a later sweep sharing this backend.
@@ -655,11 +621,6 @@ class WorkerPoolBackend:
         pool health (``host:port`` for remote, ``mp:N`` for local)."""
         return f"{self.name}:{worker}"
 
-    def _worker_protocol(self, worker: int) -> int:
-        """Worker protocol version; in-process pools always match the
-        driver, socket workers report theirs in the hello."""
-        return 2
-
     # ------------------------------------------------------------------
     @property
     def capacity(self) -> int:
@@ -667,16 +628,6 @@ class WorkerPoolBackend:
         keeps every worker slot busy without hoarding shards an
         adaptive job may never need.  Shrinks as workers die."""
         return max(1, self._worker_slots()) * self.queue_depth
-
-    def supports_windows(self) -> bool:
-        """Whether some live worker can run windowed (stolen)
-        sub-shards — the scheduler's steal-eligibility probe.  Window
-        fields ride on protocol >= 4 shard tuples, so a pool of only
-        older workers reports False and stealing never engages."""
-        return any(
-            self._worker_protocol(worker) >= 4
-            for worker in self._live_workers()
-        )
 
     def stale_pending(self) -> list[int]:
         """In-flight task seqs old enough to be straggler suspects,
@@ -712,9 +663,6 @@ class WorkerPoolBackend:
         while True:
             live = self._live_workers()
             if task.parent_shots is not None:
-                # Stolen windows need the protocol-4 shard tuple; in a
-                # mixed pool only the newer workers can run them.
-                live = [w for w in live if self._worker_protocol(w) >= 4]
                 parent = (
                     self._dispatch.get(task.parent_seq)
                     if task.parent_seq is not None else None
@@ -728,11 +676,8 @@ class WorkerPoolBackend:
                         live = others
             if not live:
                 raise NoLiveWorkersError(
-                    f"{self.name} backend: no live worker"
-                    + (" speaks protocol >= 4;"
-                       if task.parent_shots is not None else ";")
-                    + f" cannot run shard {task.shard_index} of job "
-                    f"{task.job_key}"
+                    f"{self.name} backend: no live worker; cannot run "
+                    f"shard {task.shard_index} of job {task.job_key}"
                 )
             worker = self._pick_worker(task.circuit_key, live)
             try:
@@ -748,37 +693,27 @@ class WorkerPoolBackend:
             return
 
     def _maybe_configure(self, worker: int) -> None:
-        """Ship this driver's settings to a worker exactly once.
-
-        Only when something is actually on (the all-off path must not
-        change the wire conversation at all) and only to workers
-        speaking a protocol that understands each setting — an old
-        worker would crash on an unknown kind, and a protocol-2 worker
-        ignores settings keys it never reads, so memo sharding and the
-        native matcher are withheld below protocol 3.
-        """
+        """Ship this driver's settings to a worker exactly once (before
+        its first prime), so a reused worker never runs on a previous
+        driver's settings."""
         if worker in self._configured:
             return
         self._configured.add(worker)
-        protocol = self._worker_protocol(worker)
-        settings: dict = {}
-        if active_telemetry().enabled:
-            settings["telemetry"] = True
-        if protocol >= 3:
-            if self.memo_share:
-                # Slot identity is the worker index; the divisor is the
-                # full pool width (dead workers included) so ownership
-                # never reshuffles — a dead slot's syndromes simply stop
-                # being published, which costs hit rate, not
-                # correctness.
-                settings["memo_share"] = {
-                    "slot": worker,
-                    "slots": max(1, len(self._load), worker + 1),
-                }
-            if native.requested():
-                settings["native_blossom"] = True
-        if settings and protocol >= 2:
-            self._send(worker, ("config", settings))
+        memo_share = None
+        if self.memo_share:
+            # Slot identity is the worker index; the divisor is the full
+            # pool width (dead workers included) so ownership never
+            # reshuffles — a dead slot's syndromes simply stop being
+            # published, which costs hit rate, not correctness.
+            memo_share = {
+                "slot": worker,
+                "slots": max(1, len(self._load), worker + 1),
+            }
+        self._send(worker, ("config", {
+            "telemetry": active_telemetry().enabled,
+            "memo_share": memo_share,
+            "native_blossom": native.requested(),
+        }))
 
     def _dispatch_shard(self, worker, task, compiled, cache, live) -> None:
         pair = (worker, task.circuit_key)
@@ -822,21 +757,18 @@ class WorkerPoolBackend:
             )
             self._dmat_primed.add(pair)
         self._send_memo_delta(worker, task)
-        shard = ("shard", task.seq, task.circuit_key, task.decoder,
-                 task.sampler, task.shots, task.seed, self._epoch)
-        if task.parent_shots is not None:
-            # Stolen window: extend with (offset, parent_shots).  Plain
-            # shards keep the 8-tuple so protocol <= 3 workers still
-            # unpack them.
-            shard = shard + (task.offset, task.parent_shots)
-        self._send(worker, shard)
+        # (offset, parent_shots) is (0, None) for a whole planned shard.
+        self._send(worker, (
+            "shard", task.seq, task.circuit_key, task.decoder, task.sampler,
+            task.shots, task.seed, self._epoch, task.offset, task.parent_shots,
+        ))
 
     def _send_memo_delta(self, worker, task) -> None:
         """Replicate peer-published memo entries this worker has not
         seen, piggybacked just before its shard — the worker is about
         to decode this (circuit, decoder) pair, so the entries land
         exactly where and when they can save work."""
-        if not self.memo_share or self._worker_protocol(worker) < 3:
+        if not self.memo_share:
             return
         segment = self._memo_segments.get((task.circuit_key, task.decoder))
         if not segment:
@@ -883,7 +815,6 @@ class WorkerPoolBackend:
         for seq in lost:
             del self._dispatch[seq]
             self._shard_meta.pop(seq, None)
-            self._forgotten.add(seq)
         self._lost.extend(lost)
         # The dead worker's replication cursors are garbage now (its
         # slot's unpublished entries die with it; the segments stay —
@@ -915,17 +846,10 @@ class WorkerPoolBackend:
         return lost
 
     def _handle(self, message) -> ShardOutcome | None:
-        kind, seq, value, elapsed_s, epoch, memo = message[:6]
-        # Protocol >= 2 telemetry replies append the phase dict; a
-        # worker left enabled by an earlier driver must not leak phases
-        # into a telemetry-off run, so gate on our own setting too.
-        # Protocol >= 3 memo-sharing replies append the worker's newly
-        # owned memo entries as an 8th element.  Multi-slot protocol-4
-        # workers always pad to 8 and append the executing slot as a
-        # 9th, so each slot gets its own telemetry lane.
-        phases = message[6] if len(message) > 6 else None
-        published = message[7] if len(message) > 7 else None
-        slot = message[8] if len(message) > 8 else None
+        (kind, seq, value, elapsed_s, epoch, memo, phases, published,
+         slot) = message
+        # Worker input: whatever it sent, a telemetry-off run records
+        # no phases.
         if not active_telemetry().enabled:
             phases = None
         if epoch != self._epoch:
@@ -934,13 +858,6 @@ class WorkerPoolBackend:
         meta = self._shard_meta.pop(seq, None)
         if published and meta is not None and self.memo_share:
             self._merge_memo(meta, published, dispatched[0] if dispatched else -1)
-        if dispatched is None and seq in self._forgotten:
-            # Disowned when its worker died: either the result beat the
-            # death notice through a shared queue, or the resubmitted
-            # copy already landed.  Shards are seed-deterministic, so
-            # whichever copy is counted first is the answer; this one
-            # is surplus.
-            return None
         if dispatched is not None:
             worker, job_key, shots, t_sent = dispatched
             self._load[worker] -= 1
@@ -949,7 +866,6 @@ class WorkerPoolBackend:
             raise RuntimeError(f"worker shard failed:\n{value}")
         if dispatched is None:
             raise RuntimeError(f"result for unknown shard task {seq}")
-        memo = memo if memo is not None else (0, 0, 0)
         label = self._worker_label(worker)
         if slot is not None:
             label = f"{label}#s{int(slot)}"
@@ -1045,189 +961,19 @@ class WorkerPoolBackend:
         self._dispatch.clear()
         self._shard_meta.clear()
         self._lost = []
-        self._forgotten = set()
 
     def begin_session(self) -> None:
         """Fence off a new sweep's results from an older sweep's.
 
         Called by the scheduler when it attaches to this backend.  Task
         sequence numbers restart at zero per scheduler, so without a
-        fresh epoch a *surplus* result left over from a previous sweep
-        on a shared backend (a dead worker's duplicate, still sitting
-        in the shared result queue) could be credited to this sweep's
-        same-numbered shard.  Bumping the epoch makes every stale
-        message identifiable and droppable.
+        fresh epoch a result left over from a previous sweep on a
+        shared backend (a superseded straggler still finishing on its
+        worker) could be credited to this sweep's same-numbered shard.
+        Bumping the epoch makes every stale message identifiable and
+        droppable.
         """
         self.abandon_pending()
-
-
-class MultiprocessBackend(WorkerPoolBackend):
-    """Fans shot shards out over worker processes with per-worker queues.
-
-    Unlike a ``Pool``, the parent controls exactly which worker runs
-    which shard, so it can *prime* each worker with a circuit's text
-    and DEM payload at most once (``prime`` message) and afterwards
-    send only tiny ``(key, decoder, sampler, shots, seed)`` shard
-    messages.
-    Results stream back over a shared queue that the parent polls with
-    an interruptible timed wait — SIGINT reaches the parent promptly
-    instead of languishing behind a blocking ``pool.map``.  A worker
-    that dies (OOM kill, SIGKILL, segfault) does not kill the sweep:
-    its in-flight shards are disowned for the scheduler to resubmit to
-    the survivors.
-    """
-
-    name = "multiprocess"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-        queue_depth: int = 2,
-        memo_share: bool = True,
-    ):
-        self.max_workers = max_workers if max_workers else (os.cpu_count() or 2)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
-        self.queue_depth = queue_depth
-        self.memo_share = bool(memo_share)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._procs: list = []
-        self._task_queues: list = []
-        self._result_queue = None
-        self._dead: set[int] = set()
-        self._init_pool()
-
-    # ------------------------------------------------------------------
-    def _worker_label(self, worker: int) -> str:
-        return f"mp:{worker}"
-
-    def _worker_protocol(self, worker: int) -> int:
-        # In-process workers run this very module: always current.
-        return 4
-
-    def _worker_slots(self) -> int:
-        if not self._procs:
-            return self.max_workers
-        return len(self._procs) - len(self._dead)
-
-    def _ensure_workers(self) -> None:
-        if self._procs:
-            return
-        self._result_queue = self._ctx.Queue()
-        for _ in range(self.max_workers):
-            task_queue = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_worker_main,
-                args=(task_queue, self._result_queue),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-            self._task_queues.append(task_queue)
-            self._load.append(0)
-
-    def _live_workers(self) -> list[int]:
-        self._reap_dead()
-        return [w for w in range(len(self._procs)) if w not in self._dead]
-
-    def _reap_dead(self) -> None:
-        """Notice dead worker processes and disown their shards."""
-        for worker, proc in enumerate(self._procs):
-            if worker not in self._dead and not proc.is_alive():
-                self._dead.add(worker)
-                self._forget_worker(worker)
-
-    def _send(self, worker: int, message: tuple) -> None:
-        """Single dispatch point for worker messages (tests hook this
-        to count priming traffic)."""
-        self._task_queues[worker].put(message)
-
-    # ------------------------------------------------------------------
-    def poll(self) -> list[ShardOutcome]:
-        outcomes = []
-        if self._result_queue is None:
-            return outcomes
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except queue_module.Empty:
-                return outcomes
-            outcome = self._handle(message)
-            if outcome is not None:
-                outcomes.append(outcome)
-
-    def wait(self, poll_interval: float = 0.2) -> list[ShardOutcome]:
-        """Wait up to one ``poll_interval`` for a shard to finish.
-
-        The timed ``get`` keeps the parent interruptible: a SIGINT
-        lands between polls instead of hanging until a whole job's
-        ``map`` returns.  Returns an empty list after one quiet
-        interval — the scheduler uses the beat to reap lost shards,
-        steal straggler tails, and rescan elastic pools, and only
-        treats emptiness as a stall when nothing is in flight at all.
-        """
-        try:
-            message = self._result_queue.get(timeout=poll_interval)
-        except queue_module.Empty:
-            self._reap_dead()
-            if not self._lost and self._procs and \
-                    len(self._dead) == len(self._procs):
-                # No survivor can ever produce a result; the usual
-                # surfacing point is submit() on the scheduler's
-                # resubmission attempt, but if wait() is reached
-                # first it must raise too, never spin.
-                raise NoLiveWorkersError(
-                    f"all {len(self._procs)} worker process(es) died"
-                )
-            return []
-        outcome = self._handle(message)
-        if outcome is None:
-            return self.poll()  # stale epoch / disowned: drain the rest
-        return [outcome] + self.poll()
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Graceful shutdown: let queued work finish, stop workers."""
-        if not self._procs:
-            return
-        for worker in range(len(self._procs)):
-            if worker not in self._dead:
-                self._send(worker, ("stop",))
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        self._reset()
-
-    def terminate(self) -> None:
-        """Hard shutdown: abandon in-flight shards (interrupt path)."""
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self._procs:
-            proc.join()
-        self._reset()
-
-    def _reset(self) -> None:
-        self._procs = []
-        self._task_queues = []
-        self._result_queue = None
-        self._dead = set()
-        self._init_pool()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
 
 
 # ----------------------------------------------------------------------
@@ -1336,10 +1082,12 @@ class Runner:
         self.spec = spec
         self._own_backend = backend is None
         if backend is None:
-            backend = (
-                MultiprocessBackend(workers) if workers and workers > 1
-                else SerialBackend()
-            )
+            if workers and workers > 1:
+                from .remote import MultiprocessBackend
+
+                backend = MultiprocessBackend(workers)
+            else:
+                backend = SerialBackend()
         self.backend = backend
         self.cache = (
             cache if cache is not None

@@ -89,7 +89,7 @@ class ShardTask:
     # Stolen-window fields: a window re-draws its parent's full
     # ``parent_shots`` sample from ``seed`` and decodes only rows
     # ``[offset, offset + shots)``.  ``parent_shots is None`` means a
-    # whole planned shard (the only shape protocol <= 3 workers see).
+    # whole planned shard.
     offset: int = 0
     parent_shots: int | None = None
     # Scheduler seq of the superseded parent (driver-side routing hint
@@ -105,8 +105,8 @@ class ShardOutcome:
     ``elapsed_s`` is the shard's own sampling time on whichever worker
     ran it, so a job's cost can be reported exclusive of time spent
     queued behind other jobs' shards.  ``memo_hits`` / ``memo_misses``
-    are the shard's own syndrome-memo traffic (deltas, so they sum
-    across shards); ``memo_size`` is the memo's entry count right after
+    are the shard's own syndrome-memo traffic (counted per decode call,
+    so they sum across shards); ``memo_size`` is the memo's entry count right after
     the shard, making dedupe behaviour observable from the parent.
 
     ``phases`` (telemetry-enabled runs only) is the shard's own
@@ -127,9 +127,9 @@ class ShardOutcome:
     memo_misses: int = 0
     memo_size: int = 0
     # Hits served by memo entries another worker decoded first and the
-    # driver replicated here (cross-worker dedupe, protocol v3).  Sits
-    # after memo_size so ``*memo_stats`` unpacking accepts both the old
-    # 3-tuple and the new 4-tuple snapshot shapes.
+    # driver replicated here (cross-worker dedupe).  Field order matches
+    # the ``(hits, misses, size, shared_hits)`` tuple shards report, so
+    # ``*memo_stats`` unpacks straight into the constructor.
     memo_shared_hits: int = 0
     phases: dict | None = field(default=None, compare=False)
     worker: str = ""
@@ -293,11 +293,10 @@ class StreamScheduler:
         self.backend = backend
         self.cache = cache
         self.on_outcome = on_outcome
-        # Straggler stealing: only meaningful against a backend whose
-        # workers can run windowed sub-shards (``supports_windows``);
-        # silently inert elsewhere.  ``steal_min_shots`` floors the
-        # window size so stealing never shatters a shard into slivers
-        # whose per-window overhead outweighs the tail it trims.
+        # Straggler stealing (every backend runs windowed sub-shards).
+        # ``steal_min_shots`` floors the window size so stealing never
+        # shatters a shard into slivers whose per-window overhead
+        # outweighs the tail it trims.
         self._steal = bool(steal)
         self._steal_min_shots = max(1, int(steal_min_shots))
         # Seqs of split (stolen-from) parents whose late results must
@@ -307,9 +306,9 @@ class StreamScheduler:
         self._stolen_shots = 0
         self._steal_windows = 0
         # A shared backend may hold leftovers of an earlier sweep (a
-        # dead worker's surplus duplicate result in a shared queue);
-        # our seq numbers start at 0, so fence those out before any
-        # submission can collide with them.
+        # superseded straggler still finishing on its worker); our seq
+        # numbers start at 0, so fence those out before any submission
+        # can collide with them.
         begin_session = getattr(backend, "begin_session", None)
         if begin_session is not None:
             begin_session()
@@ -444,9 +443,6 @@ class StreamScheduler:
         workers while the original worker's effort is simply discarded.
         """
         if not self._steal or self._inflight == 0:
-            return 0
-        supports = getattr(self.backend, "supports_windows", None)
-        if supports is None or not supports():
             return 0
         stale = getattr(self.backend, "stale_pending", None)
         order = stale() if stale is not None else sorted(self._pending)

@@ -319,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "either way)")
     p_sweep.add_argument("--no-memo-share", action="store_true",
                          help="disable cross-worker syndrome-memo "
-                              "sharing on pool backends (per-worker "
-                              "memos only, as before protocol v3)")
+                              "sharing on pool backends (each worker "
+                              "keeps its own memo)")
     p_sweep.add_argument("--native-blossom", action="store_true",
                          help="opt into the numba-compiled large-"
                               "cluster matcher where available "

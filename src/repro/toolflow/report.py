@@ -29,6 +29,10 @@ def _cell(value) -> str:
             return "0"
         if abs(value) >= 1e5 or abs(value) < 1e-3:
             return f"{value:.2e}"
+        if abs(value) < 1:
+            # Significant figures, not fixed decimals: a per-round LER
+            # of 4.3e-3 must not print as 0.0.
+            return f"{value:.5g}"
         return f"{value:,.1f}"
     return str(value)
 

@@ -140,7 +140,8 @@ class FlakyBackend:
         )
         failures, memo, phases = sample_shard(
             compiled.circuit, decoder,
-            Shard(task.shard_index, task.shots, task.seed),
+            Shard(task.shard_index, task.shots, task.seed,
+                  offset=task.offset, parent_shots=task.parent_shots),
             sampler=sampler,
         )
         self.executed.append((task.job_key, task.shard_index))

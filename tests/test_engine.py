@@ -568,7 +568,8 @@ class TestWorkerPriming:
             run_sweep(spec, backend=backend, shard_shots=64)
         assert backend.shard_messages
         for message in backend.shard_messages:
-            kind, seq, circuit_key, decoder, sampler, shots, seed, epoch = message
+            (kind, seq, circuit_key, decoder, sampler, shots, seed, epoch,
+             offset, parent_shots) = message
             assert kind == "shard"
             assert isinstance(circuit_key, str) and len(circuit_key) == 64
             assert isinstance(decoder, str)
@@ -926,28 +927,32 @@ class TestWorkerCrashRecovery:
         assert (state.shots_done, state.failures) == (256, 5)
 
     def test_capacity_shrinks_with_dead_workers(self):
+        from types import SimpleNamespace
+
         backend = MultiprocessBackend(max_workers=3, queue_depth=2)
         assert backend.capacity == 6  # not started: configured size rules
-        backend._procs = [object(), object(), object()]  # "started"
-        backend._dead = {0}
+        backend._conns = [  # "started"
+            SimpleNamespace(alive=True, slots=1) for _ in range(3)
+        ]
+        backend._conns[0].alive = False
         assert backend.capacity == 4  # 2 survivors x queue_depth
-        backend._dead = {0, 1, 2}
+        for conn in backend._conns:
+            conn.alive = False
         assert backend.capacity == 2  # floor of one slot x queue_depth
 
     def test_new_scheduler_fences_off_stale_session_state(self):
-        # A dead worker's surplus duplicate result can outlive its
-        # sweep in a shared backend's queue; since task seqs restart
-        # at 0 per scheduler, attaching a new scheduler must bump the
-        # epoch (so the stale message is droppable) and clear the old
-        # sweep's forgotten-seq set (so it cannot swallow new results).
+        # A superseded straggler's result can outlive its sweep on a
+        # shared backend; since task seqs restart at 0 per scheduler,
+        # attaching a new scheduler must bump the epoch (so the stale
+        # message is droppable) and clear the old sweep's lost list.
         from repro.engine import StreamScheduler
 
         backend = MultiprocessBackend(max_workers=2)
-        backend._forgotten.add(2)
+        backend._lost.append(2)
         epoch = backend._epoch
         StreamScheduler(backend, cache=None)
         assert backend._epoch == epoch + 1
-        assert not backend._forgotten
+        assert not backend.take_lost()
 
 
 class TestProgressReporter:

@@ -1,9 +1,9 @@
-"""Cross-worker syndrome-memo dedupe (worker protocol v3).
+"""Cross-worker syndrome-memo dedupe.
 
 Covers the three layers separately and together: the
 :class:`SyndromeMemo` sharding primitives (ownership, outbox, absorb,
 shared-hit accounting), the worker message handler (config / memo
-messages, the 8th published reply element), and the driver-side
+messages, the published-entries reply field), and the driver-side
 replication loop on a synchronous stub pool — including the guarantee
 that sharing never changes failure counts, only where decoding work
 happens.
@@ -12,6 +12,7 @@ happens.
 import numpy as np
 import pytest
 
+from pool_helpers import StubPoolBackend
 from repro.decoders import (
     DetectorGraph,
     MwpmDecoder,
@@ -24,7 +25,6 @@ from repro.engine import SweepSpec
 from repro.engine.progress import ProgressReporter
 from repro.engine.runner import (
     ShardExecutor,
-    WorkerPoolBackend,
     handle_worker_message,
     run_sweep,
 )
@@ -111,7 +111,7 @@ class TestMemoSharding:
 
 
 # ----------------------------------------------------------------------
-# Worker message handler (protocol v3)
+# Worker message handler
 # ----------------------------------------------------------------------
 def _primed_executor(share=None):
     executor = ShardExecutor()
@@ -163,90 +163,32 @@ class TestWorkerProtocol:
         handle_worker_message(
             executor, ("prime", "ckt", str(circ), dem_data, dem_data, None, 0)
         )
-        reply = handle_worker_message(
-            executor, ("shard", 0, "ckt", "mwpm", "frame", 128, seed, 0)
-        )
-        assert reply[0] == "ok" and len(reply) == 8
+        shard = ("shard", 0, "ckt", "mwpm", "frame", 128, seed, 0, 0, None)
+        reply = handle_worker_message(executor, shard)
+        assert reply[0] == "ok" and len(reply) == 9
         published = reply[7]
         assert published and all(
             isinstance(key, bytes) and isinstance(mask, int)
             for key, mask in published
         )
         # Entries drain exactly once: an identical shard re-decodes
-        # nothing new, so the reply shrinks back to the unshared shape.
-        reply2 = handle_worker_message(
-            executor, ("shard", 1, "ckt", "mwpm", "frame", 128, seed, 0)
-        )
-        assert len(reply2) == 6
+        # nothing new, so it publishes nothing.
+        reply2 = handle_worker_message(executor, shard)
+        assert reply2[7] is None
 
-        # Sharing off: same shard, classic 6-tuple reply.
+        # Sharing off: same shard, nothing published.
         executor2 = _primed_executor()
         handle_worker_message(
             executor2, ("prime", "ckt", str(circ), dem_data, dem_data, None, 0)
         )
-        reply3 = handle_worker_message(
-            executor2, ("shard", 0, "ckt", "mwpm", "frame", 128, seed, 0)
-        )
-        assert len(reply3) == 6
+        reply3 = handle_worker_message(executor2, shard)
+        assert len(reply3) == 9 and reply3[7] is None
         assert reply3[2] == reply[2]  # sharing never changes failures
 
 
 # ----------------------------------------------------------------------
 # Driver-side replication on a synchronous stub pool
 # ----------------------------------------------------------------------
-class StubPoolBackend(WorkerPoolBackend):
-    """Real WorkerPoolBackend bookkeeping and the real worker message
-    handler over a synchronous in-process transport (mirror of the
-    telemetry-protocol stub, at protocol 3)."""
-
-    name = "stub"
-
-    def __init__(self, workers: int = 2, protocol: int = 3):
-        self.queue_depth = 2
-        self._workers = workers
-        self._protocol = protocol
-        self._executors = [ShardExecutor() for _ in range(workers)]
-        self._replies: list[tuple] = []
-        self.sent: list[tuple[int, tuple]] = []
-        self._init_pool()
-        self._load = [0] * workers
-
-    def _ensure_workers(self) -> None:
-        pass
-
-    def _live_workers(self) -> list[int]:
-        return list(range(self._workers))
-
-    def _worker_slots(self) -> int:
-        return self._workers
-
-    def _worker_protocol(self, worker: int) -> int:
-        return self._protocol
-
-    def _send(self, worker: int, message: tuple) -> None:
-        self.sent.append((worker, message))
-        reply = handle_worker_message(self._executors[worker], message)
-        if reply is not None:
-            self._replies.append(reply)
-
-    def poll(self):
-        outcomes = []
-        while self._replies:
-            outcome = self._handle(self._replies.pop(0))
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
-
-    def wait(self):
-        return self.poll()
-
-    def close(self) -> None:
-        pass
-
-    def terminate(self) -> None:
-        pass
-
-
 def _spec(**overrides):
     base = dict(
         distances=(3,), shots=4096, rounds=2, master_seed=7,
@@ -293,19 +235,12 @@ class TestDriverReplication:
         unshared.memo_share = False
         [without] = run_sweep(_spec(), backend=unshared, shard_shots=64)
         assert not any(m[0] == "memo" for _, m in unshared.sent)
-        assert not any(
-            "memo_share" in m[1] for _, m in unshared.sent if m[0] == "config"
+        assert all(
+            m[1]["memo_share"] is None
+            for _, m in unshared.sent if m[0] == "config"
         )
         assert with_share.failures == without.failures
         assert with_share.shots == without.shots
-
-    def test_protocol2_pool_never_engages_memo_share(self):
-        backend = StubPoolBackend(workers=2, protocol=2)
-        [result] = run_sweep(_spec(shots=512), backend=backend, shard_shots=64)
-        assert not any(m[0] == "memo" for _, m in backend.sent)
-        assert not any(m[0] == "config" for _, m in backend.sent)
-        assert result.failures is not None
-        assert "memo_share" not in backend.pool_health()
 
     def test_duplicate_publishes_counted_once(self):
         backend = StubPoolBackend(workers=1)

@@ -40,7 +40,13 @@ from repro.engine.runner import (
     plan_shards,
     sample_shard,
 )
-from repro.engine.remote import RemoteBackend
+from repro.engine.remote import (
+    PROTOCOL_VERSION,
+    MultiprocessBackend,
+    RemoteBackend,
+    _encode_frame,
+    _recv_frame,
+)
 from repro.noise.parameters import DEFAULT_NOISE
 
 SHOTS = 600
@@ -140,9 +146,6 @@ class StallingBackend:
         self.stall_seq = stall_seq
         self._queue: list = []
         self.executed: list[int] = []  # seqs, in execution order
-
-    def supports_windows(self) -> bool:
-        return True
 
     def submit(self, task, compiled, cache) -> None:
         self._queue.append((task, compiled, cache))
@@ -344,13 +347,24 @@ class TestElasticPool:
         )
         late_addr = f"127.0.0.1:{free_port()}"
         late: dict = {}
+        listening = threading.Event()
 
         def join_late():
             late["proc"], late["addr"] = spawn_worker(listen=late_addr)
+            listening.set()
+
+        class AwaitingJoiner(RecordingRemote):
+            def _handle(self, message):
+                # Hold the first result until the late worker listens:
+                # the next rescan then adopts it while most of the
+                # sweep's shards are still unplanned, however slowly
+                # the worker process started.
+                listening.wait(timeout=60)
+                return super()._handle(message)
 
         joiner = threading.Thread(target=join_late, daemon=True)
         try:
-            with RecordingRemote(
+            with AwaitingJoiner(
                 [addr1, late_addr], elastic=True, rescan_interval=0.2
             ) as backend:
                 joiner.start()
@@ -472,3 +486,178 @@ class TestElasticPool:
             assert leaver_proc.poll() is None  # it never exited
         finally:
             reap_workers([leaver_proc, stayer_proc])
+
+
+# ----------------------------------------------------------------------
+# Hello handshake: one protocol version
+# ----------------------------------------------------------------------
+def fake_worker(version, hello=None):
+    """A listener that greets every driver with a hello of ``version``
+    (or the given ``hello`` message) and then waits for the driver to
+    hang up."""
+    hello = hello or ("hello", version, {"slots": 1})
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                conn, _peer = listener.accept()
+            except OSError:
+                return  # listener closed
+            with conn:
+                conn.sendall(_encode_frame(hello))
+                try:
+                    conn.recv(1)
+                except OSError:
+                    pass
+
+    threading.Thread(target=serve, daemon=True).start()
+    host, port = listener.getsockname()[:2]
+    return listener, f"{host}:{port}"
+
+
+class TestHelloVersion:
+    def test_strict_pool_refuses_other_protocol_version(self):
+        old = PROTOCOL_VERSION - 1
+        listener, addr = fake_worker(old)
+        try:
+            with pytest.raises(
+                ConnectionError,
+                match=rf"protocol {old}, this driver speaks protocol "
+                      rf"{PROTOCOL_VERSION}",
+            ):
+                run_sweep(
+                    small_spec(), backend=RemoteBackend([addr]),
+                    shard_shots=SHARD,
+                )
+        finally:
+            listener.close()
+
+    def test_elastic_pool_skips_other_protocol_version(
+        self, serial_reference
+    ):
+        listener, bad_addr = fake_worker(PROTOCOL_VERSION + 1)
+        proc, good_addr = spawn_worker()
+        try:
+            with RecordingRemote(
+                [good_addr, bad_addr], elastic=True, rescan_interval=0.2
+            ) as backend:
+                results = run_sweep(
+                    small_spec(), backend=backend, shard_shots=SHARD
+                )
+            assert [r.failures for r in results] == serial_reference
+            bad = ("127.0.0.1", int(bad_addr.rsplit(":", 1)[1]))
+            assert backend.adopted
+            assert all(tuple(addr) != bad for addr in backend.adopted)
+        finally:
+            listener.close()
+            reap_workers([proc])
+
+
+    MALFORMED_HELLOS = [
+        ("hello", PROTOCOL_VERSION),
+        ("hello", PROTOCOL_VERSION, None),
+        ("hello", PROTOCOL_VERSION, {}),
+        ("hello", PROTOCOL_VERSION, {"slots": "2"}),
+        ("hello", PROTOCOL_VERSION, {"slots": 0}),
+    ]
+
+    @pytest.mark.parametrize("hello", MALFORMED_HELLOS)
+    def test_strict_pool_refuses_malformed_hello(self, hello):
+        listener, addr = fake_worker(None, hello=hello)
+        try:
+            with pytest.raises(ConnectionError, match="malformed hello"):
+                run_sweep(
+                    small_spec(), backend=RemoteBackend([addr]),
+                    shard_shots=SHARD,
+                )
+        finally:
+            listener.close()
+
+    def test_elastic_pool_skips_malformed_hello(self, serial_reference):
+        listener, bad_addr = fake_worker(
+            None, hello=("hello", PROTOCOL_VERSION, None)
+        )
+        proc, good_addr = spawn_worker()
+        try:
+            with RecordingRemote(
+                [good_addr, bad_addr], elastic=True, rescan_interval=0.2
+            ) as backend:
+                results = run_sweep(
+                    small_spec(), backend=backend, shard_shots=SHARD
+                )
+            assert [r.failures for r in results] == serial_reference
+            bad = ("127.0.0.1", int(bad_addr.rsplit(":", 1)[1]))
+            assert backend.adopted
+            assert all(tuple(addr) != bad for addr in backend.adopted)
+        finally:
+            listener.close()
+            reap_workers([proc])
+
+
+class TestMalformedDriverMessage:
+    @pytest.mark.parametrize("slots", ["1", "2"])
+    def test_wrong_arity_shard_drops_session_not_worker(
+        self, slots, serial_reference
+    ):
+        # An 8-field shard tuple, as a driver of another protocol
+        # version would send it.
+        proc, addr = spawn_worker(
+            extra_args=("--serve-forever", "--slots", slots)
+        )
+        try:
+            host, port = addr.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10) as s:
+                hello = _recv_frame(s)
+                assert hello[:2] == ("hello", PROTOCOL_VERSION)
+                s.sendall(_encode_frame(
+                    ("shard", 0, "key", "mwpm", "dem", 64, 1, 0)
+                ))
+                # EOF, not the socket timeout: the worker hung up.
+                assert s.recv(1) == b""
+            assert proc.poll() is None  # ... but kept running
+            results = run_sweep(
+                small_spec(), backend=RemoteBackend([addr]),
+                shard_shots=SHARD,
+            )
+            assert [r.failures for r in results] == serial_reference
+        finally:
+            proc.kill()
+            reap_workers([proc])
+
+
+# ----------------------------------------------------------------------
+# Memo statistics: per-shard traffic is exact on every backend
+# ----------------------------------------------------------------------
+class TestMemoStatsInvariant:
+    @staticmethod
+    def _lookups(results):
+        # Memo lookups per job: one per distinct syndrome of each shard,
+        # whichever worker or slot decoded it.
+        return [r.extras["memo"]["hits"] + r.extras["memo"]["misses"]
+                for r in results]
+
+    def test_lookups_equal_across_serial_mp_and_two_slot_worker(self):
+        # Shards big enough that the two slots' decodes overlap.
+        spec, shard = small_spec(shots=16384), 2048
+        serial = Runner(spec, shard_shots=shard, steal=False).run()
+        for result in serial:
+            # One memo per circuit: every miss became an entry.
+            assert result.extras["memo"]["misses"] == \
+                result.extras["memo"]["entries"]
+        with MultiprocessBackend(max_workers=2) as backend:
+            pooled = Runner(
+                spec, backend=backend, shard_shots=shard, steal=False
+            ).run()
+        proc, addr = spawn_worker(extra_args=("--slots", "2"))
+        try:
+            with RemoteBackend([addr]) as backend:
+                slotted = Runner(
+                    spec, backend=backend, shard_shots=shard, steal=False
+                ).run()
+        finally:
+            reap_workers([proc])
+        assert self._lookups(pooled) == self._lookups(serial)
+        assert self._lookups(slotted) == self._lookups(serial)
+        assert [r.failures for r in pooled] == [r.failures for r in serial]
+        assert [r.failures for r in slotted] == [r.failures for r in serial]

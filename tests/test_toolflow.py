@@ -101,6 +101,21 @@ class TestReport:
         assert "e+" in text.lower() or "e1" in text
         assert "e-09" in text
 
+    def test_nonzero_rates_never_render_as_zero(self):
+        rates = [4.3e-3, 0.0128, 1e-3, 9.99e-4, 2.5e-7, 0.5, 0.04999]
+        text = format_table(["ler"], [[rate] for rate in rates])
+        cells = [line.strip() for line in text.splitlines()[2:]]
+        assert cells[:2] == ["0.0043", "0.0128"]
+        for rate, cell in zip(rates, cells):
+            assert float(cell) != 0.0, (rate, cell)
+            assert abs(float(cell) - rate) <= 1e-3 * rate, (rate, cell)
+
+    def test_values_from_one_keep_fixed_notation(self):
+        values = [1.0, 12.0, 1234.5, 99999.7]
+        text = format_table(["v"], [[v] for v in values])
+        cells = [line.strip() for line in text.splitlines()[2:]]
+        assert cells == ["1.0", "12.0", "1,234.5", "99,999.7"]
+
     def test_ratio(self):
         assert ratio(6, 3) == 2
         assert ratio(1, 0) == float("inf")
