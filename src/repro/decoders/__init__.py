@@ -9,16 +9,15 @@
 - :class:`BatchDecoderMixin` / :func:`decode_packed_dedup` /
   :func:`decode_batch_dedup` — shared packed-native deduplicated batch
   decoding (``decode_packed_batch`` / ``logical_failures_packed``) with
-  a cross-shard syndrome memo.
+  a cross-shard syndrome memo (one per worker; a multi-slot worker's
+  slots share it).
 """
 
-from . import native
 from .batch import (
     BatchDecoderMixin,
     SyndromeMemo,
     decode_batch_dedup,
     decode_packed_dedup,
-    memo_owner,
     unique_packed_rows,
 )
 from .graph import DetectorEdge, DetectorGraph, llr_weight
@@ -31,9 +30,7 @@ __all__ = [
     "SyndromeMemo",
     "decode_batch_dedup",
     "decode_packed_dedup",
-    "memo_owner",
     "unique_packed_rows",
-    "native",
     "DetectorEdge",
     "DetectorGraph",
     "llr_weight",

@@ -20,7 +20,8 @@ the unique-inverse.
 The memo carries decoded syndromes across shard boundaries: decoder
 instances live as long as a worker's circuit memo, so a syndrome seen
 in shard 0 is free in every later shard of the same (circuit, decoder)
-pair.
+pair that runs on that worker.  Each worker keeps its own memo; the
+slots of a multi-slot worker share one.
 
 :class:`BatchDecoderMixin` gives every decoder the same batch API on
 top of its scalar ``decode``:
@@ -40,8 +41,6 @@ else inherits the unpack-distinct-rows adapter for free.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from ..sim.dem_sampler import pack_bool_rows, unpack_bool_rows
@@ -54,106 +53,27 @@ from ..telemetry import span
 DEFAULT_MEMO_LIMIT = 1 << 18
 
 
-def memo_owner(key: bytes, slots: int) -> int:
-    """Which pool slot owns a packed-syndrome key.
-
-    CRC32 rather than ``hash()``: ownership must agree across worker
-    processes and hosts, and python's string hashing is salted per
-    process.
-    """
-    return zlib.crc32(key) % slots
-
-
 class SyndromeMemo:
-    """Bounded ``packed syndrome -> correction mask`` memo with stats.
+    """Bounded ``packed syndrome -> correction mask`` memo.
 
-    With cross-worker sharing enabled (:meth:`enable_sharing`) the memo
-    becomes one segment of a pool-wide table sharded by syndrome hash:
-    locally-decoded entries this slot *owns* queue in an outbox for the
-    driver to redistribute, and entries learned from peers arrive via
-    :meth:`absorb`.  ``shared_hits`` counts hits served by absorbed
-    entries — the observable cross-worker half of the dedupe rate.
+    Holds no counters: :func:`decode_packed_dedup` reports each call's
+    own hits and misses through its ``stats`` list, which stays exact
+    when several threads decode through one memo.
     """
 
     def __init__(self, limit: int = DEFAULT_MEMO_LIMIT):
         self.limit = limit
         self.table: dict[bytes, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.shared_hits = 0
-        # (slot, slots) when this memo is a shard of a pool-wide table.
-        self._share: tuple[int, int] | None = None
-        self._outbox: list[tuple[bytes, int]] = []
-        # Keys that arrived from peers (absorb) rather than local decode.
-        self.remote_keys: set[bytes] = set()
 
     def __len__(self) -> int:
         return len(self.table)
 
-    # -- cross-worker sharing ------------------------------------------
-    def enable_sharing(self, slot: int, slots: int) -> None:
-        if slots < 1 or not 0 <= slot < slots:
-            raise ValueError(f"bad memo share slot {slot}/{slots}")
-        self._share = (int(slot), int(slots))
-
-    def disable_sharing(self) -> None:
-        self._share = None
-        self._outbox = []
-
-    @property
-    def sharing(self) -> bool:
-        return self._share is not None
-
     def insert(self, key: bytes, mask: int) -> bool:
-        """Record one locally-decoded syndrome; ``False`` once full.
-
-        Owned entries (hash-sharded to this slot) also queue in the
-        outbox so the pool driver can redistribute them.
-        """
+        """Record one decoded syndrome; ``False`` once full."""
         if len(self.table) >= self.limit:
             return False
         self.table[key] = mask
-        share = self._share
-        if share is not None and memo_owner(key, share[1]) == share[0]:
-            self._outbox.append((key, mask))
         return True
-
-    def drain_outbox(self) -> list[tuple[bytes, int]]:
-        """Owned entries inserted since the last drain (and clear)."""
-        out, self._outbox = self._outbox, []
-        return out
-
-    def absorb(self, entries) -> int:
-        """Merge peer-decoded entries; returns how many were new.
-
-        Absorbed entries never re-enter the outbox (the driver already
-        has them) and count as neither hits nor misses — only later
-        lookups that land on them bump ``shared_hits``.
-        """
-        table = self.table
-        added = 0
-        for key, mask in entries:
-            if key not in table and len(table) < self.limit:
-                table[key] = mask
-                self.remote_keys.add(key)
-                added += 1
-        return added
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> tuple[int, int, int, int]:
-        """``(hits, misses, entries, shared_hits)`` running totals
-        (per-call traffic comes from :func:`decode_packed_dedup`'s
-        ``stats``)."""
-        return (self.hits, self.misses, len(self.table), self.shared_hits)
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "shared_hits": self.shared_hits,
-            "entries": len(self.table),
-            "limit": self.limit,
-        }
 
 
 def unique_packed_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,10 +110,8 @@ def decode_packed_dedup(
     distinct syndrome is decoded at most once per batch and, with a
     memo, at most once per decoder lifetime.
 
-    With a memo, ``stats`` (a ``[hits, misses, shared_hits]`` list)
-    accumulates this call's own memo traffic.  Unlike the memo's
-    running counters it stays exact when several threads decode
-    through one shared memo.
+    With a memo, ``stats`` (a ``[hits, misses]`` list) accumulates
+    this call's own memo traffic.
     """
     words = np.atleast_2d(np.ascontiguousarray(det_words, dtype=np.uint64))
     with span("unique"):
@@ -204,26 +122,16 @@ def decode_packed_dedup(
             missing = list(range(len(uniq)))
         else:
             missing = []
-            shared = 0
             table = memo.table
-            remote = memo.remote_keys
             for row in range(len(uniq)):
-                key = uniq[row].tobytes()
-                cached = table.get(key)
+                cached = table.get(uniq[row].tobytes())
                 if cached is not None:
-                    if remote and key in remote:
-                        shared += 1
                     corrections[row] = cached
                 else:
                     missing.append(row)
-            hits, misses = len(uniq) - len(missing), len(missing)
-            memo.hits += hits
-            memo.misses += misses
-            memo.shared_hits += shared
             if stats is not None:
-                stats[0] += hits
-                stats[1] += misses
-                stats[2] += shared
+                stats[0] += len(uniq) - len(missing)
+                stats[1] += len(missing)
     if missing:
         miss_rows = np.array(missing, dtype=np.int64)
         with span("decode", distinct=len(missing)):

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,7 +256,7 @@ class CompilationCache:
         try:
             with open(path) as fh:
                 dem = dem_from_jsonable(json.load(fh))
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None  # corrupt entry: fall through to recompilation
         self._touch(path)
         return dem
@@ -280,7 +281,7 @@ class CompilationCache:
             with np.load(path) as payload:
                 dist = payload["dist"]
                 pred = payload["pred"]
-        except (OSError, ValueError, KeyError):
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None  # corrupt entry: fall through to recomputation
         shape = (num_nodes, num_nodes)
         if dist.shape != shape or pred.shape != shape:

@@ -51,7 +51,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..decoders import native
 from ..telemetry import configure as configure_telemetry
 from .runner import (
     NoLiveWorkersError,
@@ -68,7 +67,7 @@ logger = logging.getLogger(__name__)
 # ``handle_worker_message``).  The worker's hello is
 # ``("hello", PROTOCOL_VERSION, {"slots": N})``; the driver refuses any
 # other version.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 _HEADER = struct.Struct(">I")
 # A frame is bounded by the largest prime payload (two DEM JSONs plus
 # the all-pairs distance matrices) — far below this, but cap it so a
@@ -146,7 +145,7 @@ def _serve_connection(conn: socket.socket, slots: int = 1,
     so stale circuits can never leak between sweeps.
 
     With ``slots > 1`` the session runs shards concurrently on a
-    thread pool of that width: prime / dmat / memo / config messages
+    thread pool of that width: prime / dmat / config messages
     are still applied inline on the receive thread (so a shard never
     races the prime it depends on), only shard messages fan out.
     ``chaos_shard_delay`` sleeps that long before each shard — a fault-
@@ -156,12 +155,9 @@ def _serve_connection(conn: socket.socket, slots: int = 1,
     conn.sendall(
         _encode_frame(("hello", PROTOCOL_VERSION, {"slots": slots}))
     )
-    # Telemetry and the native-matcher opt-in are per-driver state: a
-    # serve-forever worker must not carry the previous driver's
-    # settings into the next session.  (Memo sharding already resets
-    # with the per-connection executor.)
+    # Telemetry is per-driver state: a serve-forever worker must not
+    # carry the previous driver's setting into the next session.
     configure_telemetry(enabled=False)
-    native.configure(False)
     executor = ShardExecutor(slots=slots)
     if slots == 1:
         while True:
@@ -367,8 +363,7 @@ class RemoteBackend(WorkerPoolBackend):
     roster: unreachable workers at start are tolerated (any one
     suffices) and the driver periodically rescans the list mid-sweep,
     so ``--serve-forever`` nodes can join a running sweep — a joiner
-    is primed and receives the replicated memo segments exactly like a
-    first-class member.  The default (strict) mode keeps the original
+    is primed exactly like a first-class member.  The default (strict) mode keeps the original
     contract: every listed worker must be reachable at start.
     """
 
@@ -381,7 +376,6 @@ class RemoteBackend(WorkerPoolBackend):
         queue_depth: int = 2,
         connect_timeout: float = 10.0,
         send_timeout: float = 60.0,
-        memo_share: bool = True,
         elastic: bool = False,
         rescan_interval: float = 2.0,
     ):
@@ -389,7 +383,6 @@ class RemoteBackend(WorkerPoolBackend):
             raise ValueError("queue_depth must be positive")
         self.addrs = parse_addrs(addrs)
         self.queue_depth = queue_depth
-        self.memo_share = bool(memo_share)
         self.connect_timeout = connect_timeout
         self.send_timeout = send_timeout
         self.elastic = bool(elastic)
@@ -792,9 +785,9 @@ class MultiprocessBackend(RemoteBackend):
 
     Each worker process runs the ``repro-worker`` session loop over one
     end of a ``socketpair``; the driver adopts the other ends into
-    :class:`RemoteBackend`'s event loop.  Priming, crash recovery, work
-    stealing and memo sharing therefore run on exactly the code paths
-    of a remote pool: a worker killed by OOM, SIGKILL or a segfault
+    :class:`RemoteBackend`'s event loop.  Priming, crash recovery and
+    work stealing therefore run on exactly the code paths of a remote
+    pool: a worker killed by OOM, SIGKILL or a segfault
     closes its socket, and its in-flight shards are resubmitted to the
     survivors.  Workers ignore SIGINT — Ctrl-C reaches the driver, which
     then terminates them.
@@ -806,7 +799,6 @@ class MultiprocessBackend(RemoteBackend):
         self,
         max_workers: int | None = None,
         queue_depth: int = 2,
-        memo_share: bool = True,
     ):
         self.max_workers = max_workers or os.cpu_count() or 2
         # The roster's (host, port) pairs double as the "mp:N" labels.
@@ -814,8 +806,7 @@ class MultiprocessBackend(RemoteBackend):
         # a long shard holding back a queued prime is never a stall.
         super().__init__(
             [("mp", worker) for worker in range(self.max_workers)],
-            queue_depth=queue_depth, memo_share=memo_share,
-            send_timeout=math.inf,
+            queue_depth=queue_depth, send_timeout=math.inf,
         )
         self._procs: list = []
 

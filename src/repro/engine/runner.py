@@ -51,7 +51,6 @@ from ..arch.wiring import wiring_by_name
 from ..codes import make_code
 from ..core.compiler import CompilerConfig, QccdCompiler
 from ..core.stim_export import program_to_circuit
-from ..decoders import native
 from ..decoders.batch import SyndromeMemo
 from ..decoders.graph import DetectorGraph
 from ..ler.estimator import make_decoder
@@ -155,16 +154,14 @@ def sample_shard(
     decoder consumes the uint64 words via ``logical_failures_packed``
     and the shard's ``SeedSequence`` fully determines the draw.
 
-    Returns ``(failures, (memo_hits, memo_misses, memo_size,
-    memo_shared_hits), phases)`` — the shard's own syndrome-memo
-    traffic, counted by this shard's decode call alone (so it stays
-    exact when several worker slots share one memo), where
-    ``memo_shared_hits`` counts the hits served by entries another
-    worker decoded and the driver replicated in, and ``memo_size`` is
-    the memo's entry count afterwards.  When telemetry is enabled,
-    ``phases`` holds the shard's per-phase exclusive seconds (sample /
-    unique / memo / decode / scatter, plus ``other`` for the residue
-    between the instrumented phases and the shard's wall clock).
+    Returns ``(failures, (memo_hits, memo_misses, memo_size), phases)``
+    — the shard's own syndrome-memo traffic, counted by this shard's
+    decode call alone (so it stays exact when several worker slots
+    share one memo), and ``memo_size``, the memo's entry count
+    afterwards.  When telemetry is enabled, ``phases`` holds the
+    shard's per-phase exclusive seconds (sample / unique / memo /
+    decode / scatter, plus ``other`` for the residue between the
+    instrumented phases and the shard's wall clock).
     ``phases`` is ``None`` with telemetry off — the hot path stays
     allocation-free.
     """
@@ -198,14 +195,13 @@ def sample_shard(
                     packed.det_words[lo:hi], packed.obs_words[lo:hi],
                     packed.num_detectors, packed.num_observables,
                 )
-        traffic = [0, 0, 0]  # hits, misses, shared hits
+        traffic = [0, 0]  # hits, misses
         failures = int(
             decoder.logical_failures_packed(
                 packed.det_words, packed.obs_words, memo_stats=traffic
             ).sum()
         )
-    hits, misses, shared = traffic
-    memo_stats = (hits, misses, len(decoder.syndrome_memo()), shared)
+    memo_stats = (*traffic, len(decoder.syndrome_memo()))
     if not enabled:
         return failures, memo_stats, None
     phases = telemetry.phase_delta(phases0)
@@ -325,9 +321,11 @@ class ShardExecutor:
     threads.  Decoders are keyed per slot — MWPM/union-find instances
     hold mutable per-decode scratch — while the syndrome memo and the
     DEM sampler are shared across slots per circuit (the memo *is* the
-    dedupe; the sampler is stateless per call).  Construction of
-    decoders and samplers is serialized by ``_build_lock`` because
-    building mutates shared lazy caches on the detector graph.
+    dedupe; the sampler is stateless per call).  The memo is this
+    worker's alone: no decoded syndrome crosses to another worker.
+    Construction of decoders and samplers is serialized by
+    ``_build_lock`` because building mutates shared lazy caches on the
+    detector graph.
     """
 
     def __init__(self, slots: int = 1):
@@ -337,52 +335,9 @@ class ShardExecutor:
         self._decoders: dict[tuple[str, str, int], object] = {}
         # (circuit_key, decoder_name) -> memo shared by every slot's
         # decoder of that pair (cross-slot dedupe for free).
-        self._memos: dict[tuple[str, str], object] = {}
+        self._memos: dict[tuple[str, str], SyndromeMemo] = {}
         self._samplers: dict[str, DemSampler] = {}
         self._build_lock = threading.RLock()
-        # (slot, slots) while the driver has cross-worker syndrome-memo
-        # sharing on for this worker; None otherwise.
-        self._memo_share: tuple[int, int] | None = None
-
-    def set_memo_share(self, share) -> None:
-        """Apply the driver's memo-sharding assignment (or ``None``).
-
-        ``share`` is the ``{"slot": .., "slots": ..}`` dict from the
-        ``config`` message: this worker owns the syndrome keys hashing
-        to ``slot`` and queues them for the driver to redistribute.
-        Applies to every existing decoder memo and to ones built later.
-        """
-        if share:
-            self._memo_share = (int(share["slot"]), int(share["slots"]))
-        else:
-            self._memo_share = None
-        with self._build_lock:
-            for memo in self._memos.values():
-                if self._memo_share is not None:
-                    memo.enable_sharing(*self._memo_share)
-                else:
-                    memo.disable_sharing()
-
-    def absorb_memo(self, circuit_key, decoder_name, entries) -> int:
-        """Merge peer-decoded memo entries pushed by the driver.
-
-        Tolerant of ordering: if this worker never built the decoder
-        (e.g. the circuit was abandoned before its first shard landed
-        here) the entries are dropped — the driver keeps the segment
-        and will replay it before the next shard of that pair anyway.
-        """
-        entry = self._circuits.get(circuit_key)
-        if entry is None:
-            return 0
-        return self._memo_for(circuit_key, decoder_name).absorb(entries)
-
-    def drain_memo(self, circuit_key, decoder_name) -> list:
-        """Owned memo entries decoded since the last drain (see
-        :meth:`repro.decoders.batch.SyndromeMemo.drain_outbox`)."""
-        memo = self._memos.get((circuit_key, decoder_name))
-        if memo is None:
-            return []
-        return memo.drain_outbox()
 
     def _memo_for(self, circuit_key, decoder_name):
         pair = (circuit_key, decoder_name)
@@ -392,8 +347,6 @@ class ShardExecutor:
                 memo = self._memos.get(pair)
                 if memo is None:
                     memo = SyndromeMemo()
-                    if self._memo_share is not None:
-                        memo.enable_sharing(*self._memo_share)
                     self._memos[pair] = memo
         return memo
 
@@ -469,20 +422,18 @@ def handle_worker_message(
 ):
     """Process one driver message; returns the reply tuple or ``None``.
 
-    The worker's half of the wire protocol: ``prime`` / ``dmat`` /
-    ``memo`` update the executor, ``config`` applies this driver's
-    worker-side settings (telemetry, memo sharding, the native matcher
-    opt-in), ``shard`` samples and replies; ``stop`` is the caller's
-    business.  Every reply has one shape::
+    The worker's half of the wire protocol: ``prime`` / ``dmat``
+    update the executor, ``config`` applies this driver's worker-side
+    settings (telemetry on or off), ``shard`` samples and replies;
+    ``stop`` is the caller's business.  Every reply has one shape::
 
-        (kind, seq, value, elapsed_s, epoch, memo, phases, published, slot)
+        (kind, seq, value, elapsed_s, epoch, memo, phases, slot)
 
     ``kind`` is ``"ok"`` (``value`` = failures, ``memo`` = the shard's
-    memo-stats 4-tuple) or ``"error"`` (``value`` = traceback; a failed
+    memo-stats 3-tuple) or ``"error"`` (``value`` = traceback; a failed
     prime replies with ``seq=None``).  ``phases`` is the per-phase
-    seconds dict when telemetry is on, ``published`` the owned memo
-    entries decoded under cross-worker sharing, and ``slot`` which lane
-    of a multi-slot worker ran the shard — each ``None`` when absent.
+    seconds dict when telemetry is on, and ``slot`` which lane of a
+    multi-slot worker ran the shard — each ``None`` when absent.
     """
     kind = message[0]
     if kind == "prime":
@@ -491,23 +442,16 @@ def handle_worker_message(
             executor.prime(circuit_key, circuit_text, dem_data, sdem_data, dmat)
         except BaseException:
             return ("error", None, traceback.format_exc(), 0.0, epoch,
-                    None, None, None, slot)
+                    None, None, slot)
         return None
     if kind == "dmat":
         _, circuit_key, dmat, epoch = message
         executor.set_dmat(circuit_key, dmat)
         return None
-    if kind == "memo":
-        # Peer-decoded syndrome entries replicated in by the driver.
-        _, circuit_key, decoder_name, entries, _epoch = message
-        executor.absorb_memo(circuit_key, decoder_name, entries)
-        return None
     if kind == "config":
         # Driver-controlled worker settings, sent once per session.
         _, settings = message
         configure_telemetry(enabled=bool(settings.get("telemetry", False)))
-        executor.set_memo_share(settings.get("memo_share"))
-        native.configure(bool(settings.get("native_blossom", False)))
         return None
     (_, seq, circuit_key, decoder_name, sampler_name, shots, seed, epoch,
      offset, parent_shots) = message
@@ -518,12 +462,10 @@ def handle_worker_message(
             offset=offset, parent_shots=parent_shots, slot=slot or 0,
         )
         elapsed = time.perf_counter() - t0
-        published = executor.drain_memo(circuit_key, decoder_name) or None
-        return ("ok", seq, failures, elapsed, epoch, memo, phases, published,
-                slot)
+        return ("ok", seq, failures, elapsed, epoch, memo, phases, slot)
     except BaseException:
         return ("error", seq, traceback.format_exc(), 0.0, epoch,
-                None, None, None, slot)
+                None, None, slot)
 
 
 class WorkerPoolBackend:
@@ -532,14 +474,13 @@ class WorkerPoolBackend:
     The driver's half of the wire protocol: one ``config`` per worker,
     ``prime`` (at most once per (worker, circuit): circuit text, both
     DEM payloads, MWPM distance matrices), late ``dmat`` delivery,
-    replicated ``memo`` entries, tiny payload-free ``shard`` tuples,
-    ``stop`` — answered by the fixed-shape replies documented on
-    :func:`handle_worker_message`.  This base owns the bookkeeping:
-    priming state,
-    per-worker load, the seq -> worker dispatch map, abandoned-sweep
-    epochs, and **crash recovery** — a dead worker's in-flight shards
-    are disowned into a lost list that the scheduler reaps via
-    ``take_lost()`` and resubmits to survivors.
+    tiny payload-free ``shard`` tuples, ``stop`` — answered by the
+    fixed-shape replies documented on :func:`handle_worker_message`.
+    This base owns the bookkeeping: priming state, per-worker load,
+    the seq -> worker dispatch map, abandoned-sweep epochs, and
+    **crash recovery** — a dead worker's in-flight shards are disowned
+    into a lost list that the scheduler reaps via ``take_lost()`` and
+    resubmits to survivors.
 
     Subclasses provide the transport: ``_ensure_workers`` (start /
     connect the pool), ``_live_workers`` (surviving worker indices),
@@ -550,31 +491,10 @@ class WorkerPoolBackend:
 
     name = "pool"
     queue_depth: int = 2
-    # Cross-worker syndrome-memo dedupe: workers shard memo ownership
-    # by syndrome hash, publish owned entries with their shard replies,
-    # and the driver replicates each worker's new entries to the others
-    # piggybacked on shard dispatch.  Default on.
-    memo_share: bool = True
 
     def _init_pool(self) -> None:
         self._load: list[int] = []
         self._primed: set[tuple[int, str]] = set()
-        # Memo-share bookkeeping.  The segment store survives epochs on
-        # purpose: syndrome -> correction is deterministic content, so
-        # entries learned during an abandoned sweep stay valid for the
-        # next sweep of the same (circuit, decoder) pair.
-        # task seq -> (circuit_key, decoder) so a reply's published
-        # entries can be filed without widening the dispatch tuples.
-        self._shard_meta: dict[int, tuple[str, str]] = {}
-        # (circuit_key, decoder) -> ordered [(key, mask, origin), ...]
-        self._memo_segments: dict[tuple[str, str], list] = {}
-        self._memo_known: dict[tuple[str, str], set] = {}
-        # (worker, circuit_key, decoder) -> index into the segment of
-        # the first entry this worker has not been sent yet.
-        self._memo_cursors: dict[tuple[int, str, str], int] = {}
-        self._memo_published = 0
-        self._memo_duplicates = 0
-        self._memo_pushed = 0
         # (worker, circuit) pairs whose prime included the MWPM
         # distance matrices (or received them in a late "dmat" send).
         self._dmat_primed: set[tuple[int, str]] = set()
@@ -689,7 +609,6 @@ class WorkerPoolBackend:
             self._dispatch[task.seq] = (
                 worker, task.job_key, task.shots, time.perf_counter()
             )
-            self._shard_meta[task.seq] = (task.circuit_key, task.decoder)
             return
 
     def _maybe_configure(self, worker: int) -> None:
@@ -699,21 +618,7 @@ class WorkerPoolBackend:
         if worker in self._configured:
             return
         self._configured.add(worker)
-        memo_share = None
-        if self.memo_share:
-            # Slot identity is the worker index; the divisor is the full
-            # pool width (dead workers included) so ownership never
-            # reshuffles — a dead slot's syndromes simply stop being
-            # published, which costs hit rate, not correctness.
-            memo_share = {
-                "slot": worker,
-                "slots": max(1, len(self._load), worker + 1),
-            }
-        self._send(worker, ("config", {
-            "telemetry": active_telemetry().enabled,
-            "memo_share": memo_share,
-            "native_blossom": native.requested(),
-        }))
+        self._send(worker, ("config", {"telemetry": active_telemetry().enabled}))
 
     def _dispatch_shard(self, worker, task, compiled, cache, live) -> None:
         pair = (worker, task.circuit_key)
@@ -756,39 +661,11 @@ class WorkerPoolBackend:
                  self._epoch),
             )
             self._dmat_primed.add(pair)
-        self._send_memo_delta(worker, task)
         # (offset, parent_shots) is (0, None) for a whole planned shard.
         self._send(worker, (
             "shard", task.seq, task.circuit_key, task.decoder, task.sampler,
             task.shots, task.seed, self._epoch, task.offset, task.parent_shots,
         ))
-
-    def _send_memo_delta(self, worker, task) -> None:
-        """Replicate peer-published memo entries this worker has not
-        seen, piggybacked just before its shard — the worker is about
-        to decode this (circuit, decoder) pair, so the entries land
-        exactly where and when they can save work."""
-        if not self.memo_share:
-            return
-        segment = self._memo_segments.get((task.circuit_key, task.decoder))
-        if not segment:
-            return
-        cursor_key = (worker, task.circuit_key, task.decoder)
-        cursor = self._memo_cursors.get(cursor_key, 0)
-        if cursor >= len(segment):
-            return
-        self._memo_cursors[cursor_key] = len(segment)
-        entries = [
-            (key, mask)
-            for key, mask, origin in segment[cursor:]
-            if origin != worker  # the origin already holds its own
-        ]
-        if entries:
-            self._memo_pushed += len(entries)
-            self._send(
-                worker,
-                ("memo", task.circuit_key, task.decoder, entries, self._epoch),
-            )
 
     def _pick_worker(self, circuit_key: str, live: list[int]) -> int:
         """Least-loaded live worker — load normalized by slot count, so
@@ -814,16 +691,7 @@ class WorkerPoolBackend:
         ]
         for seq in lost:
             del self._dispatch[seq]
-            self._shard_meta.pop(seq, None)
         self._lost.extend(lost)
-        # The dead worker's replication cursors are garbage now (its
-        # slot's unpublished entries die with it; the segments stay —
-        # entries already published remain valid for survivors).
-        self._memo_cursors = {
-            cursor_key: pos
-            for cursor_key, pos in self._memo_cursors.items()
-            if cursor_key[0] != worker
-        }
         self._crashes += 1
         self._resubmitted += len(lost)
         logger.warning(
@@ -846,8 +714,7 @@ class WorkerPoolBackend:
         return lost
 
     def _handle(self, message) -> ShardOutcome | None:
-        (kind, seq, value, elapsed_s, epoch, memo, phases, published,
-         slot) = message
+        kind, seq, value, elapsed_s, epoch, memo, phases, slot = message
         # Worker input: whatever it sent, a telemetry-off run records
         # no phases.
         if not active_telemetry().enabled:
@@ -855,9 +722,6 @@ class WorkerPoolBackend:
         if epoch != self._epoch:
             return None  # shard of an abandoned sweep: silently drop
         dispatched = self._dispatch.pop(seq, None)
-        meta = self._shard_meta.pop(seq, None)
-        if published and meta is not None and self.memo_share:
-            self._merge_memo(meta, published, dispatched[0] if dispatched else -1)
         if dispatched is not None:
             worker, job_key, shots, t_sent = dispatched
             self._load[worker] -= 1
@@ -873,20 +737,6 @@ class WorkerPoolBackend:
             seq, job_key, shots, int(value), float(elapsed_s), *memo,
             phases=phases, worker=label,
         )
-
-    def _merge_memo(self, meta, entries, origin: int) -> None:
-        """File a worker's published memo entries into the pool-wide
-        segment (first publisher wins; the decode is deterministic, so
-        a duplicate key always carries the identical mask)."""
-        segment = self._memo_segments.setdefault(meta, [])
-        known = self._memo_known.setdefault(meta, set())
-        for key, mask in entries:
-            if key in known:
-                self._memo_duplicates += 1
-                continue
-            known.add(key)
-            segment.append((key, mask, origin))
-            self._memo_published += 1
 
     def _record_result_stats(
         self, worker: int, busy_s: float, t_sent: float
@@ -930,16 +780,6 @@ class WorkerPoolBackend:
             "crashes": self._crashes,
             "resubmitted_shards": self._resubmitted,
         }
-        if self.memo_share and self._memo_published:
-            # Cross-worker dedupe traffic: distinct entries collected
-            # from workers, duplicates they raced to decode anyway, and
-            # the fan-out volume pushed back to peers.
-            health["memo_share"] = {
-                "segments": len(self._memo_segments),
-                "published_entries": self._memo_published,
-                "duplicate_publishes": self._memo_duplicates,
-                "pushed_entries": self._memo_pushed,
-            }
         health.update(self._transport_stats())
         return health
 
@@ -959,7 +799,6 @@ class WorkerPoolBackend:
             if worker < len(self._load):
                 self._load[worker] -= 1
         self._dispatch.clear()
-        self._shard_meta.clear()
         self._lost = []
 
     def begin_session(self) -> None:
@@ -1120,11 +959,8 @@ class Runner:
         self._status_last = time.monotonic()
         self._artifacts: dict[tuple, JobArtifacts] = {}
         # Sweep-wide syndrome-memo tallies (hit/miss deltas summed over
-        # every shard; peak = largest single memo observed anywhere;
-        # shared_hits = hits served by entries another worker decoded).
-        self._memo_totals = {
-            "hits": 0, "misses": 0, "shared_hits": 0, "peak_entries": 0,
-        }
+        # every shard; peak = largest single memo observed anywhere).
+        self._memo_totals = {"hits": 0, "misses": 0, "peak_entries": 0}
         # Sweep-wide per-phase exclusive seconds (summed over shard
         # outcomes as they land) and total per-job setup time — the
         # phase breakdown the end-of-sweep summary reports.
@@ -1135,7 +971,6 @@ class Runner:
         # _memo_totals only update when a whole job finalizes).
         self._live_memo_hits = 0
         self._live_memo_misses = 0
-        self._live_memo_shared = 0
         # What makes two samplings of the same job comparable: stored
         # results are only reused when all of this matches.
         self.run_config = {
@@ -1246,7 +1081,6 @@ class Runner:
         self._shards_done += 1
         self._live_memo_hits += outcome.memo_hits
         self._live_memo_misses += outcome.memo_misses
-        self._live_memo_shared += outcome.memo_shared_hits
         if (self.store is not None and self.checkpoint_shards
                 and task.parent_shots is None):
             # Stolen windows share their parent's shard_index; a
@@ -1275,10 +1109,6 @@ class Runner:
             telemetry.counter("failures").inc(outcome.failures)
             telemetry.counter("memo_hits").inc(outcome.memo_hits)
             telemetry.counter("memo_misses").inc(outcome.memo_misses)
-            if outcome.memo_shared_hits:
-                telemetry.counter("memo_shared_hits").inc(
-                    outcome.memo_shared_hits
-                )
             telemetry.histogram("shard_elapsed_s").observe(outcome.elapsed_s)
             if telemetry.trace and outcome.worker:
                 self._synthesize_lane_events(task, outcome, telemetry)
@@ -1321,8 +1151,6 @@ class Runner:
             "phase_s": self._sweep_phases(),
             "memo": {"hits": hits, "misses": misses},
         }
-        if self._live_memo_shared:
-            snapshot["memo"]["shared_hits"] = self._live_memo_shared
         if hits + misses:
             snapshot["memo"]["hit_rate"] = hits / (hits + misses)
         pool_health = getattr(self.backend, "pool_health", None)
@@ -1412,8 +1240,6 @@ class Runner:
             "misses": state.memo_misses,
             "entries": state.memo_size,
         }
-        if state.memo_shared_hits:
-            extras["memo"]["shared_hits"] = state.memo_shared_hits
         if state.phase_s:
             # Per-phase seconds summed over the job's shards, so stored
             # results record *where* this point's sampling time went.
@@ -1422,7 +1248,6 @@ class Runner:
             }
         self._memo_totals["hits"] += state.memo_hits
         self._memo_totals["misses"] += state.memo_misses
-        self._memo_totals["shared_hits"] += state.memo_shared_hits
         self._memo_totals["peak_entries"] = max(
             self._memo_totals["peak_entries"], state.memo_size
         )

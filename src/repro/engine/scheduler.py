@@ -106,8 +106,11 @@ class ShardOutcome:
     ran it, so a job's cost can be reported exclusive of time spent
     queued behind other jobs' shards.  ``memo_hits`` / ``memo_misses``
     are the shard's own syndrome-memo traffic (counted per decode call,
-    so they sum across shards); ``memo_size`` is the memo's entry count right after
-    the shard, making dedupe behaviour observable from the parent.
+    so they sum across shards); ``memo_size`` is the memo's entry count
+    right after the shard, making dedupe behaviour observable from the
+    parent.  Field order matches the ``(hits, misses, size)`` tuple
+    shards report, so ``*memo_stats`` unpacks straight into the
+    constructor.
 
     ``phases`` (telemetry-enabled runs only) is the shard's own
     per-phase exclusive seconds — ``{"sample": ..., "unique": ...,
@@ -126,11 +129,6 @@ class ShardOutcome:
     memo_hits: int = 0
     memo_misses: int = 0
     memo_size: int = 0
-    # Hits served by memo entries another worker decoded first and the
-    # driver replicated here (cross-worker dedupe).  Field order matches
-    # the ``(hits, misses, size, shared_hits)`` tuple shards report, so
-    # ``*memo_stats`` unpacks straight into the constructor.
-    memo_shared_hits: int = 0
     phases: dict | None = field(default=None, compare=False)
     worker: str = ""
 
@@ -156,8 +154,7 @@ class JobState:
         "key", "compiled", "decoder", "sampler", "plan", "target_failures",
         "target_rel_stderr", "tranche_shards", "payload", "next_index",
         "inflight", "shots_done", "failures", "shots_submitted", "work_s",
-        "memo_hits", "memo_misses", "memo_size", "memo_shared_hits",
-        "phase_s", "retired",
+        "memo_hits", "memo_misses", "memo_size", "phase_s", "retired",
     )
 
     def __init__(
@@ -199,7 +196,6 @@ class JobState:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_size = 0
-        self.memo_shared_hits = 0
         # Per-phase exclusive seconds summed over this job's shards
         # (seeded with checkpointed phases on resume, like work_s).
         self.phase_s: dict[str, float] = dict(initial_phases or {})
@@ -595,7 +591,6 @@ class StreamScheduler:
             state.work_s += outcome.elapsed_s
             state.memo_hits += outcome.memo_hits
             state.memo_misses += outcome.memo_misses
-            state.memo_shared_hits += outcome.memo_shared_hits
             if outcome.phases:
                 for phase, seconds in outcome.phases.items():
                     state.phase_s[phase] = state.phase_s.get(phase, 0.0) + seconds

@@ -1,7 +1,6 @@
-"""Synchronous in-memory worker pool shared by the engine test suites.
+"""Synchronous in-memory worker pool for the engine test suites.
 
-Used by ``test_telemetry.py`` (config / phases / pool health) and
-``test_memo_share.py`` (cross-worker memo replication).
+Used by ``test_telemetry.py`` (config / phases / pool health).
 """
 
 from __future__ import annotations

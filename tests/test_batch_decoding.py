@@ -67,15 +67,18 @@ class TestSyndromeMemo:
     def test_memo_carries_across_batches(self, setup):
         dem, graph, sample = setup
         decoder = MwpmDecoder(graph)
-        first = decoder.decode_batch(sample.detectors[:1000])
+        words = pack_bool_rows(sample.detectors[:1000])
+        stats = [0, 0]
+        first = decoder.decode_packed_batch(words, memo_stats=stats)
         memo = decoder.syndrome_memo()
         distinct = len(memo)
-        assert distinct > 0 and memo.misses == distinct and memo.hits == 0
+        assert distinct > 0 and stats == [0, distinct]
         # Second batch over the same shots: every syndrome is a hit.
-        second = decoder.decode_batch(sample.detectors[:1000])
+        stats = [0, 0]
+        second = decoder.decode_packed_batch(words, memo_stats=stats)
         assert np.array_equal(first, second)
         assert len(memo) == distinct
-        assert memo.hits == distinct
+        assert stats == [distinct, 0]
 
     def test_each_distinct_syndrome_decoded_once(self, setup):
         dem, graph, sample = setup
@@ -145,13 +148,18 @@ class TestPackedProtocol:
         dem, graph, sample = setup
         decoder = MwpmDecoder(graph)
         words = pack_bool_rows(sample.detectors[:500])
-        decoder.decode_packed_batch(words)
-        memo = decoder.syndrome_memo()
-        distinct = len(memo)
-        assert distinct > 0 and memo.misses == distinct
-        # The boolean entry packs to the same words: all hits.
+        stats = [0, 0]
+        decoder.decode_packed_batch(words, memo_stats=stats)
+        distinct = len(decoder.syndrome_memo())
+        assert distinct > 0 and stats == [0, distinct]
+        # The boolean entry packs to the same words: all hits, so the
+        # decoder kernel never runs.
+        decoded = []
+        kernel = decoder.decode_unique_words
+        decoder.decode_unique_words = lambda w: decoded.append(len(w)) or kernel(w)
         decoder.decode_batch(sample.detectors[:500])
-        assert memo.misses == distinct and memo.hits == distinct
+        assert decoded == []
+        assert len(decoder.syndrome_memo()) == distinct
 
     def test_decode_unique_words_sees_only_distinct_misses(self, setup):
         dem, graph, sample = setup
@@ -180,15 +188,19 @@ class TestPackedProtocol:
         with pytest.raises(ValueError, match="corrections"):
             decode_packed_dedup(lambda uniq: np.zeros(1, dtype=np.int64), words)
 
-    def test_memo_snapshot_and_stats(self):
+    def test_memo_stats_count_each_call(self):
         memo = SyndromeMemo(limit=8)
-        assert memo.snapshot() == (0, 0, 0, 0)
-        rows = np.eye(3, dtype=bool)
-        decode_batch_dedup(lambda row: int(row.argmax()), rows, memo=memo)
-        assert memo.snapshot() == (0, 3, 3, 0)
-        assert memo.stats() == {
-            "hits": 0, "misses": 3, "shared_hits": 0, "entries": 3, "limit": 8,
-        }
+        words = pack_bool_rows(np.eye(3, dtype=bool))
+
+        def decode(uniq):
+            return np.arange(len(uniq), dtype=np.int64)
+
+        first = [0, 0]
+        decode_packed_dedup(decode, words, memo=memo, stats=first)
+        assert first == [0, 3] and len(memo) == 3
+        second = [0, 0]
+        decode_packed_dedup(decode, words[:2], memo=memo, stats=second)
+        assert second == [2, 0] and len(memo) == 3
 
 
 class TestMixinSharing:

@@ -56,6 +56,13 @@ class TestParser:
         assert args.target_failures == 50
         assert args.max_shots == 20000
 
+    @pytest.mark.parametrize("flag", ["--no-memo-share", "--native-blossom"])
+    def test_removed_sweep_options_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--distances", "3", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_bad_plural_decoder_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -202,11 +202,15 @@ class TestCompilationCache:
         b = run_sweep(spec, cache=CompilationCache(str(tmp_path)), shard_shots=SHARD)
         assert [r.failures for r in a] == [r.failures for r in b]
 
-    def test_corrupt_disk_entry_recompiles(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt", ["{not json", "[]", '{"errors": 5}', "", "null"],
+        ids=["not-json", "list", "bad-errors", "empty", "null"],
+    )
+    def test_corrupt_disk_entry_recompiles(self, tmp_path, corrupt):
         spec = small_spec(distances=(2,))
         run_sweep(spec, cache=CompilationCache(str(tmp_path)), shard_shots=SHARD)
         [entry] = [n for n in os.listdir(tmp_path) if n.endswith(".dem.json")]
-        (tmp_path / entry).write_text("{not json")
+        (tmp_path / entry).write_text(corrupt)
         cache = CompilationCache(str(tmp_path))
         run_sweep(spec, cache=cache, shard_shots=SHARD)
         assert cache.misses == 1
@@ -530,6 +534,76 @@ class TestMemoStats:
         [result] = run_sweep(spec, workers=2, shard_shots=64)
         memo = result.extras["memo"]
         assert memo["misses"] > 0  # every worker decodes its first sightings
+
+    def test_per_worker_memos_never_change_failure_counts(self):
+        # Three workers, each with its own memo, decode the same shards
+        # the serial run does: failure counts match shard for shard,
+        # and no memo entries ever cross the wire.
+        from pool_helpers import StubPoolBackend
+
+        spec = small_spec(distances=(3,), shots=4096)
+        serial = run_sweep(spec, shard_shots=64)
+        backend = StubPoolBackend(workers=3)
+        pooled = run_sweep(spec, backend=backend, shard_shots=64)
+        assert [(r.shots, r.failures) for r in pooled] == \
+            [(r.shots, r.failures) for r in serial]
+        assert len({w for w, m in backend.sent if m[0] == "shard"}) == 3
+        assert {m[0] for _, m in backend.sent} <= {
+            "config", "prime", "dmat", "shard",
+        }
+
+    def test_slots_of_one_worker_share_one_memo(self):
+        # A multi-slot worker keeps one memo per (circuit, decoder): a
+        # shard slot 0 already decoded is all hits on slot 1.
+        from repro.engine.cache import dem_to_jsonable
+        from repro.engine.runner import ShardExecutor, handle_worker_message
+        from repro.sim import circuit_to_dem
+
+        circ = ideal_memory_circuit(
+            RepetitionCode(3), rounds=2, noise=UniformNoise(0.03)
+        )
+        dem_data = dem_to_jsonable(circuit_to_dem(circ))
+        executor = ShardExecutor()
+        handle_worker_message(
+            executor, ("prime", "ckt", str(circ), dem_data, dem_data, None, 0)
+        )
+        shard = ("shard", 0, "ckt", "mwpm", "frame", 128,
+                 np.random.SeedSequence(5), 0, 0, None)
+        first = handle_worker_message(executor, shard, slot=0)
+        second = handle_worker_message(executor, shard, slot=1)
+        assert (first[0], first[7]) == ("ok", 0)
+        assert (second[0], second[7]) == ("ok", 1)
+        assert second[2] == first[2]
+        hits, misses, entries = first[5]
+        assert hits == 0 and misses == entries > 0
+        assert second[5] == (misses, 0, entries)
+
+    def test_worker_memo_carries_across_shards(self):
+        # A worker keeps one memo per (circuit, decoder): a repeat of a
+        # shard it already ran decodes nothing, and the reply keeps its
+        # one 8-field shape with (hits, misses, entries) memo stats.
+        from repro.engine.cache import dem_to_jsonable
+        from repro.engine.runner import ShardExecutor, handle_worker_message
+        from repro.sim import circuit_to_dem
+
+        circ = ideal_memory_circuit(
+            RepetitionCode(3), rounds=2, noise=UniformNoise(0.03)
+        )
+        dem_data = dem_to_jsonable(circuit_to_dem(circ))
+        executor = ShardExecutor()
+        handle_worker_message(
+            executor, ("prime", "ckt", str(circ), dem_data, dem_data, None, 0)
+        )
+        shard = ("shard", 0, "ckt", "mwpm", "frame", 128,
+                 np.random.SeedSequence(3), 0, 0, None)
+        first = handle_worker_message(executor, shard)
+        second = handle_worker_message(executor, shard)
+        assert first[0] == second[0] == "ok"
+        assert len(first) == len(second) == 8
+        assert second[2] == first[2]  # same seed, same failures
+        hits, misses, entries = first[5]
+        assert hits == 0 and misses == entries > 0
+        assert second[5] == (misses, 0, entries)
 
 
 class CountingBackend(MultiprocessBackend):
@@ -1063,6 +1137,14 @@ class TestSamplerSelection:
         assert [r.failures for r in serial] == [r.failures for r in sharded]
 
 
+def _npz_bytes(**arrays) -> bytes:
+    import io
+
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
 class TestDistanceMatrixCache:
     def test_disk_round_trip_gives_identical_corrections(self, tmp_path):
         # Artefact contract: dist/pred written by one cache, loaded by
@@ -1078,11 +1160,23 @@ class TestDistanceMatrixCache:
         assert fresh.dmat_disk_hits == 1
         assert second.failures == first.failures
 
-    def test_corrupt_dmat_recomputes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: b"not an npz",
+            lambda data: data[: len(data) // 2],
+            lambda data: b"",
+            lambda data: _npz_bytes(dist=np.zeros((2, 2))),
+            lambda data: _npz_bytes(dist=np.zeros((1, 1)), pred=np.zeros((1, 1))),
+        ],
+        ids=["not-npz", "truncated", "empty", "missing-pred", "wrong-shape"],
+    )
+    def test_corrupt_dmat_recomputes(self, tmp_path, corrupt):
         spec = small_spec(distances=(2,))
         run_sweep(spec, cache=CompilationCache(str(tmp_path)), shard_shots=SHARD)
         [entry] = [n for n in os.listdir(tmp_path) if n.endswith(".dmat.npz")]
-        (tmp_path / entry).write_bytes(b"not an npz")
+        path = tmp_path / entry
+        path.write_bytes(corrupt(path.read_bytes()))
         cache = CompilationCache(str(tmp_path))
         [result] = run_sweep(spec, cache=cache, shard_shots=SHARD)
         assert cache.dmat_disk_hits == 0

@@ -37,7 +37,12 @@ from repro.engine.progress import (
     format_pool_health,
 )
 from repro.engine.results import ShardRecord
-from repro.engine.runner import PHASE_ORDER, ordered_phases
+from repro.engine.runner import (
+    PHASE_ORDER,
+    ShardExecutor,
+    handle_worker_message,
+    ordered_phases,
+)
 from repro.telemetry import (
     DEFAULT_TIME_BUCKETS,
     Histogram,
@@ -402,6 +407,26 @@ class TestPoolTelemetryProtocol:
             for line in (tmp_path / "results.jsonl").read_text().splitlines()
         )
 
+    def test_config_settings_carry_only_telemetry(self, scoped_registry):
+        telemetry.set_active(Telemetry(enabled=True))
+        backend = StubPoolBackend(workers=3)
+        run_sweep(small_spec(), backend=backend, shard_shots=64)
+        configs = [m[1] for _, m in backend.sent if m[0] == "config"]
+        assert configs and all(c == {"telemetry": True} for c in configs)
+        kinds = {m[0] for _, m in backend.sent}
+        assert kinds <= {"config", "prime", "dmat", "shard"}
+
+    def test_config_message_toggles_worker_telemetry(self, scoped_registry):
+        telemetry.set_active(Telemetry(enabled=False))
+        executor = ShardExecutor()
+        assert handle_worker_message(
+            executor, ("config", {"telemetry": True})
+        ) is None
+        assert telemetry.get().enabled
+        # A settings dict without the key switches telemetry back off.
+        handle_worker_message(executor, ("config", {}))
+        assert not telemetry.get().enabled
+
     def test_telemetry_on_off_failure_counts_bit_identical(
         self, scoped_registry
     ):
@@ -424,7 +449,7 @@ class TestPoolTelemetryProtocol:
         backend._dispatch[0] = (0, "job", 64, 0.0)
         backend._load = [1]
         outcome = backend._handle(
-            ("ok", 0, 3, 0.5, 0, (1, 2, 3, 0), {"sample": 0.4}, None, None)
+            ("ok", 0, 3, 0.5, 0, (1, 2, 3), {"sample": 0.4}, None)
         )
         assert outcome.phases is None
         assert outcome.worker == "stub:0"
@@ -501,6 +526,17 @@ class TestPersistenceAndReporting:
         out = stream.getvalue()
         assert "setup: 1.5s" in out
         assert "phases: decode 75% (3.00s), sample 25% (1.00s)" in out
+
+    def test_finish_line_reports_memo_counts(self):
+        stream = io.StringIO()
+        reporter = ProgressReporter(stream=stream)
+        reporter.start(1)
+        reporter.finish(
+            memo_stats={"hits": 10, "misses": 4, "peak_entries": 4},
+        )
+        out = stream.getvalue()
+        assert "10 hits, 4 misses, 4 peak entries" in out
+        assert "cross-worker" not in out
 
     def test_status_line_with_pool_and_straggler(self):
         stream = io.StringIO()
